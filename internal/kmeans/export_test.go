@@ -12,10 +12,14 @@ func RunPlain(points [][]float64, k int, cfg Config) (*Result, error) {
 	if err := validatePoints(points, k); err != nil {
 		return nil, err
 	}
-	return runFlat(flatten(points), k, cfg, nil, false)
+	return runFlat(flatten(points), k, cfg, false)
 }
 
 // BestKPlain is BestK running every candidate through the plain kernel.
 func BestKPlain(points [][]float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
 	return bestKWith(points, maxK, threshold, cfg, RunPlain)
 }
+
+// GaussianClusters exposes the synthetic cluster generator to the
+// external-package tests.
+var GaussianClusters = gaussianClusters

@@ -7,10 +7,10 @@
 // precomputed squared norms, reuse scratch buffers across Lloyd iterations
 // and restarts, and parallelise both the assignment step and the
 // independent candidate-k runs of BestK. On top of the norm-expansion
-// pruning, Lloyd iterations maintain Hamerly-style triangle-inequality
-// lower bounds (see bounded.go) that skip the full centroid scan for
-// points provably still closest to their assigned centroid — with a
-// conservative floating-point margin sized so the bounded path is
+// pruning, Lloyd iterations maintain Elkan-style per-centroid
+// triangle-inequality lower bounds (see bounded.go) that skip the distance
+// computations for centroids provably farther than a point's assigned one —
+// with a conservative floating-point margin sized so the bounded path is
 // bit-identical to the plain scan. Results are deterministic in the
 // configuration seed and, by construction, independent of Workers: every
 // per-point decision is computed from the same inputs regardless of how
@@ -30,13 +30,19 @@ import (
 )
 
 // Clustering metrics: restart/iteration counts are always-on atomics;
-// candidate-k timings are observed only when a tracer is installed.
+// candidate-k timings (seconds) are observed only when a tracer is
+// installed.
 var (
-	runCounter     = obs.GetCounter("kmeans.runs")
-	restartCounter = obs.GetCounter("kmeans.restarts")
-	iterCounter    = obs.GetCounter("kmeans.lloyd_iters")
-	candidateKMS   = obs.GetHistogram("kmeans.candidate_k_ms")
+	runCounter        = obs.GetCounter("kmeans.runs")
+	restartCounter    = obs.GetCounter("kmeans.restarts")
+	iterCounter       = obs.GetCounter("kmeans.lloyd_iters")
+	candidateKSeconds = obs.GetHistogram("kmeans.candidate_k_seconds")
 )
+
+// scratchPool recycles Lloyd scratch between runs — Run calls and the
+// candidate runs of BestK sweeps — so the bounded kernel's n·k bounds are
+// allocated once per worker rather than once per call.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Config controls a clustering run.
 type Config struct {
@@ -171,31 +177,31 @@ type scratch struct {
 	sums     []float64 // k*d accumulation buffer for the update step
 	cnorm    []float64 // k: ‖c‖² per centroid
 	csqrt    []float64 // k: ‖c‖ per centroid (pruning bound)
+	move     []float64 // k: bound decay per centroid (movement + margin)
+	ccHalf   []float64 // k: k-means++ half centre-to-newest-centre distances
 	sizes    []int     // k
 	assign   []int     // n: current assignment
 	prev     []int     // n: previous iteration's assignment
+	near     []int     // n: k-means++ index of the nearest centre
 	minD     []float64 // n: distance to the assigned centroid
-	lb       []float64 // n: lower bound on the second-closest distance
+	lb       []float64 // n*k: lower bound on each point-centroid distance
 	d2       []float64 // n: k-means++ D² weights
-}
-
-func newScratch(n, k, d int) *scratch {
-	sc := &scratch{}
-	sc.ensure(n, k, d)
-	return sc
 }
 
 // ensure (re)sizes every buffer for an (n, k, d) run, growing allocations
 // only when a previous use was smaller. No buffer carries state between
-// runs: each is fully written before it is read (cents by seeding, sums and
-// sizes by zeroing loops, assign by the -1 reset, minD/lb by the assignment
-// pass, d2 by seeding), so reuse across BestK candidates is safe.
+// runs: each is fully written before it is read (cents, d2, near and ccHalf
+// by seeding, sums and sizes by zeroing loops, assign by the -1 reset,
+// minD/lb by the assignment pass, move by the update step), so reuse across
+// Run calls and BestK candidates is safe.
 func (sc *scratch) ensure(n, k, d int) {
 	sc.cents = growFloat(sc.cents, k*d)
 	sc.oldCents = growFloat(sc.oldCents, k*d)
 	sc.sums = growFloat(sc.sums, k*d)
 	sc.cnorm = growFloat(sc.cnorm, k)
 	sc.csqrt = growFloat(sc.csqrt, k)
+	sc.move = growFloat(sc.move, k)
+	sc.ccHalf = growFloat(sc.ccHalf, k)
 	if cap(sc.sizes) < k {
 		sc.sizes = make([]int, k)
 	}
@@ -203,10 +209,11 @@ func (sc *scratch) ensure(n, k, d int) {
 	if cap(sc.assign) < n {
 		sc.assign = make([]int, n)
 		sc.prev = make([]int, n)
+		sc.near = make([]int, n)
 	}
-	sc.assign, sc.prev = sc.assign[:n], sc.prev[:n]
+	sc.assign, sc.prev, sc.near = sc.assign[:n], sc.prev[:n], sc.near[:n]
 	sc.minD = growFloat(sc.minD, n)
-	sc.lb = growFloat(sc.lb, n)
+	sc.lb = growFloat(sc.lb, n*k)
 	sc.d2 = growFloat(sc.d2, n)
 }
 
@@ -306,7 +313,7 @@ func Run(points [][]float64, k int, cfg Config) (*Result, error) {
 	if err := validatePoints(points, k); err != nil {
 		return nil, err
 	}
-	return runFlat(flatten(points), k, cfg, nil, true)
+	return runFlat(flatten(points), k, cfg, true)
 }
 
 // validatePoints checks the shared preconditions of Run and BestK.
@@ -328,11 +335,11 @@ func validatePoints(points [][]float64, k int) error {
 
 // runFlat is the clustering engine behind Run and the BestK sweep: it
 // operates on an already-flattened matrix so a candidate sweep flattens the
-// point set once, and reuses sc (grown as needed) so back-to-back runs do
-// not reallocate the Lloyd buffers. sc may be nil. bounded selects the
+// point set once, and draws its Lloyd buffers from scratchPool (grown as
+// needed) so back-to-back runs do not reallocate them. bounded selects the
 // triangle-inequality kernel (the default); the plain kernel is kept as the
 // bit-identical reference the determinism tests compare against.
-func runFlat(m *matrix, k int, cfg Config, sc *scratch, bounded bool) (*Result, error) {
+func runFlat(m *matrix, k int, cfg Config, bounded bool) (*Result, error) {
 	if k > m.n {
 		k = m.n
 	}
@@ -351,11 +358,9 @@ func runFlat(m *matrix, k int, cfg Config, sc *scratch, bounded bool) (*Result, 
 	}
 
 	r := rng.New(cfg.Seed ^ 0x6b6d)
-	if sc == nil {
-		sc = newScratch(train.n, k, train.d)
-	} else {
-		sc.ensure(train.n, k, train.d)
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.ensure(train.n, k, train.d)
 	var best *Result
 	for restart := 0; restart < cfg.Restarts; restart++ {
 		restartCounter.Add(1)
@@ -395,21 +400,22 @@ func sampleIndices(total, n int, seed uint64) []int {
 // and returning the WCSS. The final iteration's assignment pass doubles as
 // the result pass — no extra full-distance sweep is needed afterwards.
 //
-// With bounded set, iterations past the first use the triangle-inequality
-// kernel (bounded.go): per point, only the exact distance to the currently
-// assigned centroid is recomputed, and the scan over the other k−1
-// centroids is skipped whenever the maintained lower bound proves no other
-// centroid can win. The safety margin makes the skip decision immune to
-// floating-point slop, so both kernels produce bit-identical assignments,
-// centroids and WCSS — pinned by TestBoundedMatchesPlain*.
+// With bounded set, seeding skips D² updates the triangle inequality rules
+// out, and iterations past the first use the per-centroid bounds kernel
+// (bounded.go): per point, the exact distance to the currently assigned
+// centroid is recomputed, and a rival's distance only when its maintained
+// lower bound cannot rule it out. The safety margin makes every skip
+// decision immune to floating-point slop, so both kernels produce
+// bit-identical assignments, centroids and WCSS — pinned by
+// TestBoundedMatchesPlain*.
 func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded bool) float64 {
-	seedPlusPlus(m, k, r, sc)
-	for i := range sc.assign {
-		sc.assign[i] = -1
-	}
 	margin := 0.0
 	if bounded {
 		margin = m.boundsMargin()
+	}
+	seedPlusPlus(m, k, r, sc, bounded, margin)
+	for i := range sc.assign {
+		sc.assign[i] = -1
 	}
 	var wcss float64
 	for iter := 0; ; iter++ {
@@ -449,7 +455,7 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 		}
 		updateCentroids(m, sc, k)
 		if bounded {
-			decayBounds(m, sc, k, margin)
+			centroidMoves(m, sc, k, margin)
 		}
 	}
 }
@@ -577,8 +583,9 @@ func assignAll(points [][]float64, centroids [][]float64) *Result {
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting,
 // writing them into sc.cents. The RNG consumption order matches the
 // original slice-based implementation exactly, so seeding is bit-compatible
-// with earlier versions of this package.
-func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
+// with earlier versions of this package. With bounded set the D² updates
+// go through updateD2Bounded, which produces the same d2 bits.
+func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margin float64) {
 	d := m.d
 	first := r.Intn(m.n)
 	copy(sc.cents[0:d], m.row(first))
@@ -587,6 +594,9 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
 	c0 := sc.cents[0:d]
 	for i := 0; i < m.n; i++ {
 		d2[i] = sqDist(m.row(i), c0)
+	}
+	if bounded {
+		clear(sc.near)
 	}
 	for picked := 1; picked < k; picked++ {
 		var total float64
@@ -611,6 +621,10 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch) {
 		}
 		c := sc.cents[picked*d : (picked+1)*d]
 		copy(c, m.row(idx))
+		if bounded {
+			updateD2Bounded(m, sc, picked, margin)
+			continue
+		}
 		for i := 0; i < m.n; i++ {
 			if dd := sqDist(m.row(i), c); dd < d2[i] {
 				d2[i] = dd
@@ -673,8 +687,9 @@ func BIC(points [][]float64, res *Result) float64 {
 // choice is identical to a serial sweep.
 //
 // The sweep flattens the point set once and shares the matrix (with its
-// precomputed norms) across every candidate run; Lloyd scratch buffers are
-// pooled so concurrent candidates allocate at most one scratch per worker.
+// precomputed norms) across every candidate run; Lloyd scratch buffers come
+// from the package pool so concurrent candidates allocate at most one
+// scratch per worker.
 // Centre buffers are thereby reused across k — results stay bit-identical
 // to per-candidate Run calls because every buffer is fully rewritten before
 // use and each candidate still derives its own seed.
@@ -686,14 +701,8 @@ func BestK(points [][]float64, maxK int, threshold float64, cfg Config) (*Result
 		return nil, nil, err
 	}
 	m := flatten(points)
-	var pool sync.Pool
 	run := func(_ [][]float64, k int, sub Config) (*Result, error) {
-		sc, _ := pool.Get().(*scratch)
-		if sc == nil {
-			sc = &scratch{}
-		}
-		defer pool.Put(sc)
-		return runFlat(m, k, sub, sc, true)
+		return runFlat(m, k, sub, true)
 	}
 	return bestKWith(points, maxK, threshold, cfg, run)
 }
@@ -738,7 +747,7 @@ func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
 		res, err := run(points, k, sub)
 		if timed {
 			//lint:ignore nondet instrumentation-only duration for the candidate-k histogram; never flows into results
-			candidateKMS.Observe(float64(time.Since(began).Microseconds()) / 1e3)
+			candidateKSeconds.Observe(time.Since(began).Seconds())
 		}
 		if err != nil {
 			out[i].err = err
