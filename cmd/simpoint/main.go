@@ -64,9 +64,8 @@ func run(ctx context.Context, args []string) error {
 	}
 	res := an.Result
 	if *weighted {
-		spCfg := simpoint.DefaultConfig(scale.SliceLen)
-		spCfg.MaxK = *maxK
-		res, err = simpoint.ClusterWeighted(an.Prog.Name, an.Slices, an.TotalInstrs, spCfg)
+		// Recluster with the configuration the pipeline resolved and echoed.
+		res, err = simpoint.ClusterWeighted(an.Prog.Name, an.Slices, an.TotalInstrs, res.Config)
 		if err != nil {
 			return err
 		}

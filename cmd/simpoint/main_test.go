@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
-
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"specsampling/internal/simpoint"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -39,7 +41,22 @@ func TestRunWritesFiles(t *testing.T) {
 }
 
 func TestRunWeightedMode(t *testing.T) {
-	if err := run(context.Background(), []string{"-bench", "omnetpp_r", "-scale", "small", "-weighted"}); err != nil {
+	prefix := filepath.Join(t.TempDir(), "omn")
+	err := run(context.Background(), []string{"-bench", "omnetpp_r", "-scale", "small",
+		"-weighted", "-o", prefix})
+	if err != nil {
 		t.Fatal(err)
+	}
+	pts, err := simpoint.ReadFiles(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, pt := range pts {
+		sum += pt.Weight
+	}
+	// The weights file prints six decimals per point.
+	if len(pts) == 0 || math.Abs(sum-1) > 1e-6*float64(len(pts)) {
+		t.Errorf("%d weighted points with weights summing to %v, want 1", len(pts), sum)
 	}
 }

@@ -190,67 +190,115 @@ func TestBoundedMatchesPlainRandomized(t *testing.T) {
 }
 
 // decodeFuzzInstance turns fuzz bytes into a small clustering instance:
-// data[0] picks k in [1, 16], data[1] the dimension in [1, 4], data[2] the
-// seed, and each following group of d bytes one point (at most 64). A
-// coordinate byte b maps to the integer int8(b)/4 in [-32, 31]: a coarse
-// grid, so duplicates, exact distance ties and zero distances are common.
-func decodeFuzzInstance(data []byte) (points [][]float64, k int, seed uint64, ok bool) {
+// data[0] picks k in [1, 16], the low bits of data[1] the dimension in
+// [1, 4], data[2] the seed, and each following group of d bytes one point
+// (at most 64). A coordinate byte b maps to the integer int8(b)/4 in
+// [-32, 31]: a coarse grid, so duplicates, exact distance ties and zero
+// distances are common. When data[1]'s high bit is set the points are
+// followed by one weight byte each, b mapping to (b%8)/2 in [0, 3.5] — zero
+// weights included; an instance whose weights are all zero is rejected.
+// Without the flag the weights are nil.
+func decodeFuzzInstance(data []byte) (points [][]float64, weights []float64, k int, seed uint64, ok bool) {
 	if len(data) < 4 {
-		return nil, 0, 0, false
+		return nil, nil, 0, 0, false
 	}
 	k, d, seed := 1+int(data[0])%16, 1+int(data[1])%4, uint64(data[2])
+	weighted := data[1]&0x80 != 0
 	coords := data[3:]
-	for len(coords) >= d && len(points) < 64 {
+	stride := d
+	if weighted {
+		stride++
+	}
+	n := min(len(coords)/stride, 64)
+	for i := 0; i < n; i++ {
 		p := make([]float64, d)
 		for j := range p {
-			p[j] = float64(int8(coords[j]) / 4)
+			p[j] = float64(int8(coords[i*d+j]) / 4)
 		}
 		points = append(points, p)
-		coords = coords[d:]
 	}
-	return points, k, seed, len(points) > 0
+	if weighted {
+		var sum float64
+		for _, b := range coords[n*d : n*d+n] {
+			w := float64(b%8) / 2
+			weights = append(weights, w)
+			sum += w
+		}
+		if sum == 0 {
+			return nil, nil, 0, 0, false
+		}
+	}
+	return points, weights, k, seed, n > 0
 }
 
 // encodeFuzzInstance is the inverse of decodeFuzzInstance for points with
 // integer coordinates in [-31, 31], at most 64 points, dimension at most 4,
-// k at most 16 and seed below 256.
-func encodeFuzzInstance(points [][]float64, k int, seed uint64) []byte {
-	data := []byte{byte(k - 1), byte(len(points[0]) - 1), byte(seed)}
+// k at most 16, seed below 256 and weights (nil, or one per point) in
+// {0, 0.5, …, 3.5}.
+func encodeFuzzInstance(points [][]float64, weights []float64, k int, seed uint64) []byte {
+	dim := byte(len(points[0]) - 1)
+	if weights != nil {
+		dim |= 0x80
+	}
+	data := []byte{byte(k - 1), dim, byte(seed)}
 	for _, p := range points {
 		for _, x := range p {
 			data = append(data, byte(int8(4*x)))
 		}
 	}
+	for _, w := range weights {
+		data = append(data, byte(2*w))
+	}
 	return data
 }
 
-// FuzzBoundedMatchesPlain asserts Run is bit-identical to RunPlain on
-// arbitrary small grid-quantised point sets, at one and three workers. The
-// seed corpus is the degenerate shapes; `go test -fuzz FuzzBoundedMatchesPlain`
+// fuzzWeights is a deterministic weight vector for the seed corpus: every
+// value the decoder can produce, zero included.
+func fuzzWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64((i*3+1)%8) / 2
+	}
+	return w
+}
+
+// FuzzBoundedMatchesPlain asserts the bounded kernel is bit-identical to the
+// plain one on arbitrary small grid-quantised point sets, unweighted (Run
+// against RunPlain) and weighted (RunWeighted against RunWeightedPlain), at
+// one and three workers. The seed corpus is the degenerate shapes, each
+// with and without weights; `go test -fuzz FuzzBoundedMatchesPlain`
 // explores further.
 func FuzzBoundedMatchesPlain(f *testing.F) {
 	for _, tc := range degenerateShapes() {
-		for _, seed := range []uint64{0, 7} {
-			data := encodeFuzzInstance(tc.points, tc.k, seed)
-			if points, _, _, _ := decodeFuzzInstance(data); !reflect.DeepEqual(points, tc.points) {
-				f.Fatalf("%s: encoding does not round-trip", tc.name)
+		for _, weights := range [][]float64{nil, fuzzWeights(len(tc.points))} {
+			for _, seed := range []uint64{0, 7} {
+				data := encodeFuzzInstance(tc.points, weights, tc.k, seed)
+				points, w, _, _, _ := decodeFuzzInstance(data)
+				if !reflect.DeepEqual(points, tc.points) || !reflect.DeepEqual(w, weights) {
+					f.Fatalf("%s: encoding does not round-trip", tc.name)
+				}
+				f.Add(data)
 			}
-			f.Add(data)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		points, k, seed, ok := decodeFuzzInstance(data)
+		points, weights, k, seed, ok := decodeFuzzInstance(data)
 		if !ok {
 			return
 		}
+		run, runPlain := Run, RunPlain
+		if weights != nil {
+			run = func(p [][]float64, k int, cfg Config) (*Result, error) { return RunWeighted(p, weights, k, cfg) }
+			runPlain = func(p [][]float64, k int, cfg Config) (*Result, error) { return RunWeightedPlain(p, weights, k, cfg) }
+		}
 		cfg := Config{Restarts: 2, MaxIter: 30, Seed: seed, Workers: 1}
-		plain, err := RunPlain(points, k, cfg)
+		plain, err := runPlain(points, k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
 			cfg.Workers = workers
-			bounded, err := Run(points, k, cfg)
+			bounded, err := run(points, k, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,12 +12,24 @@ func RunPlain(points [][]float64, k int, cfg Config) (*Result, error) {
 	if err := validatePoints(points, k); err != nil {
 		return nil, err
 	}
-	return runFlat(flatten(points), k, cfg, false)
+	return runFlat(flatten(points), k, cfg, false), nil
+}
+
+// RunWeightedPlain is RunWeighted through the plain Lloyd kernel.
+func RunWeightedPlain(points [][]float64, weights []float64, k int, cfg Config) (*Result, error) {
+	m, err := weightedMatrix(points, weights, k)
+	if err != nil {
+		return nil, err
+	}
+	return runFlat(m, k, cfg, false), nil
 }
 
 // BestKPlain is BestK running every candidate through the plain kernel.
 func BestKPlain(points [][]float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
-	return bestKWith(points, maxK, threshold, cfg, RunPlain)
+	if err := validatePoints(points, 1); err != nil {
+		return nil, nil, err
+	}
+	return bestKWith(flatten(points), maxK, threshold, cfg, false)
 }
 
 // GaussianClusters exposes the synthetic cluster generator to the

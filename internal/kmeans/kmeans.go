@@ -16,6 +16,11 @@
 // per-point decision is computed from the same inputs regardless of how
 // points are partitioned across goroutines, and all floating-point
 // reductions (WCSS, centroid sums) happen in a fixed serial order.
+//
+// Per-point weights (RunWeighted, BestKWeighted) are optional data on the
+// same matrix and kernel, not a separate engine: they scale the k-means++
+// sampling mass, the centroid means and the WCSS, and leave assignment
+// untouched. Unit weights reproduce the unweighted results bit for bit.
 package kmeans
 
 import (
@@ -111,16 +116,36 @@ type Result struct {
 // assignment kernel can expand ‖x−c‖² = ‖x‖² − 2·x·c + ‖c‖² and prune
 // candidate centroids with the norm lower bound (‖x‖−‖c‖)² ≤ ‖x−c‖².
 // maxSnorm is the largest point norm — the scale the bounded kernel's
-// floating-point safety margin derives from.
+// floating-point safety margin derives from. w holds optional per-point
+// weights; nil means every point weighs 1.
 type matrix struct {
 	data     []float64
 	norm     []float64
 	snorm    []float64
+	w        []float64
 	maxSnorm float64
 	n, d     int
 }
 
 func (m *matrix) row(i int) []float64 { return m.data[i*m.d : (i+1)*m.d] }
+
+// weight is point i's weight: 1 when the matrix is unweighted.
+func (m *matrix) weight(i int) float64 {
+	if m.w == nil {
+		return 1
+	}
+	return m.w[i]
+}
+
+// cost is Σ wᵢ·vᵢ over the rows in index order. With unit weights it is the
+// plain sum bit for bit, since multiplying by 1.0 is exact.
+func (m *matrix) cost(v []float64) float64 {
+	var s float64
+	for i, x := range v {
+		s += m.weight(i) * x
+	}
+	return s
+}
 
 // flatten copies points into a matrix and precomputes the per-point norms.
 func flatten(points [][]float64) *matrix {
@@ -148,7 +173,7 @@ func flatten(points [][]float64) *matrix {
 	return m
 }
 
-// gather builds the submatrix of rows idx.
+// gather builds the submatrix of rows idx, weights included.
 func (m *matrix) gather(idx []int) *matrix {
 	out := &matrix{
 		data:  make([]float64, len(idx)*m.d),
@@ -157,12 +182,18 @@ func (m *matrix) gather(idx []int) *matrix {
 		n:     len(idx),
 		d:     m.d,
 	}
+	if m.w != nil {
+		out.w = make([]float64, len(idx))
+	}
 	for i, j := range idx {
 		copy(out.data[i*m.d:(i+1)*m.d], m.row(j))
 		out.norm[i] = m.norm[j]
 		out.snorm[i] = m.snorm[j]
 		if out.snorm[i] > out.maxSnorm {
 			out.maxSnorm = out.snorm[i]
+		}
+		if m.w != nil {
+			out.w[i] = m.w[j]
 		}
 	}
 	return out
@@ -179,6 +210,7 @@ type scratch struct {
 	csqrt    []float64 // k: ‖c‖ per centroid (pruning bound)
 	move     []float64 // k: bound decay per centroid (movement + margin)
 	ccHalf   []float64 // k: k-means++ half centre-to-newest-centre distances
+	mass     []float64 // k: weight mass per cluster (its size when unweighted)
 	sizes    []int     // k
 	assign   []int     // n: current assignment
 	prev     []int     // n: previous iteration's assignment
@@ -191,7 +223,7 @@ type scratch struct {
 // ensure (re)sizes every buffer for an (n, k, d) run, growing allocations
 // only when a previous use was smaller. No buffer carries state between
 // runs: each is fully written before it is read (cents, d2, near and ccHalf
-// by seeding, sums and sizes by zeroing loops, assign by the -1 reset,
+// by seeding, sums, mass and sizes by zeroing loops, assign by the -1 reset,
 // minD/lb by the assignment pass, move by the update step), so reuse across
 // Run calls and BestK candidates is safe.
 func (sc *scratch) ensure(n, k, d int) {
@@ -202,6 +234,7 @@ func (sc *scratch) ensure(n, k, d int) {
 	sc.csqrt = growFloat(sc.csqrt, k)
 	sc.move = growFloat(sc.move, k)
 	sc.ccHalf = growFloat(sc.ccHalf, k)
+	sc.mass = growFloat(sc.mass, k)
 	if cap(sc.sizes) < k {
 		sc.sizes = make([]int, k)
 	}
@@ -313,7 +346,50 @@ func Run(points [][]float64, k int, cfg Config) (*Result, error) {
 	if err := validatePoints(points, k); err != nil {
 		return nil, err
 	}
-	return runFlat(flatten(points), k, cfg, true)
+	return runFlat(flatten(points), k, cfg, true), nil
+}
+
+// RunWeighted clusters points that carry non-negative weights: centroids
+// are weighted means and WCSS is Σ w·d². This is the engine behind
+// variable-length-interval SimPoint (Hamerly et al., "SimPoint 3.0",
+// discussed in the paper's Section V-B): when execution slices have unequal
+// lengths, each slice must influence the clustering in proportion to the
+// instructions it represents. It runs the same kernel as Run, and unit
+// weights reproduce Run bit for bit.
+//
+// Weights must be finite and non-negative with a positive sum. Zero-weight
+// points are still assigned to their nearest centroid but do not attract
+// centroids.
+func RunWeighted(points [][]float64, weights []float64, k int, cfg Config) (*Result, error) {
+	m, err := weightedMatrix(points, weights, k)
+	if err != nil {
+		return nil, err
+	}
+	return runFlat(m, k, cfg, true), nil
+}
+
+// weightedMatrix validates points and their weights and flattens them into
+// one weighted matrix.
+func weightedMatrix(points [][]float64, weights []float64, k int) (*matrix, error) {
+	if err := validatePoints(points, k); err != nil {
+		return nil, err
+	}
+	if len(weights) != len(points) {
+		return nil, fmt.Errorf("kmeans: %d weights for %d points", len(weights), len(points))
+	}
+	var wsum float64
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("kmeans: invalid weight %v at %d", w, i)
+		}
+		wsum += w
+	}
+	if wsum <= 0 {
+		return nil, fmt.Errorf("kmeans: all weights are zero")
+	}
+	m := flatten(points)
+	m.w = weights
+	return m, nil
 }
 
 // validatePoints checks the shared preconditions of Run and BestK.
@@ -333,13 +409,13 @@ func validatePoints(points [][]float64, k int) error {
 	return nil
 }
 
-// runFlat is the clustering engine behind Run and the BestK sweep: it
-// operates on an already-flattened matrix so a candidate sweep flattens the
+// runFlat is the clustering engine behind Run, RunWeighted and the BestK
+// sweeps: it operates on an already-flattened matrix so a sweep flattens the
 // point set once, and draws its Lloyd buffers from scratchPool (grown as
 // needed) so back-to-back runs do not reallocate them. bounded selects the
 // triangle-inequality kernel (the default); the plain kernel is kept as the
 // bit-identical reference the determinism tests compare against.
-func runFlat(m *matrix, k int, cfg Config, bounded bool) (*Result, error) {
+func runFlat(m *matrix, k int, cfg Config, bounded bool) *Result {
 	if k > m.n {
 		k = m.n
 	}
@@ -374,7 +450,7 @@ func runFlat(m *matrix, k int, cfg Config, bounded bool) (*Result, error) {
 		// Re-assign the full point set to the trained centroids.
 		best = assignMatrix(m, best.Centroids, workers)
 	}
-	return best, nil
+	return best
 }
 
 // sampleIndices picks n distinct indices from [0, total) deterministically,
@@ -442,7 +518,7 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 				changed = true
 			}
 			sc.sizes[a]++
-			wcss += sc.minD[i]
+			wcss += m.weight(i) * sc.minD[i]
 		}
 		if (!changed && iter > 0) || iter >= maxIter {
 			// The assignment (and WCSS) already reflect the current
@@ -460,36 +536,42 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 	}
 }
 
-// updateCentroids recomputes each centroid as the mean of its points.
-// Empty clusters are re-seeded at the point currently farthest from its
-// assigned centroid (the standard fix for dead centroids); the point's
-// distance is then cleared so successive dead centroids pick distinct
-// points.
+// updateCentroids recomputes each centroid as the weighted mean of its
+// points: Σ w·x over the cluster's weight mass, which for an unweighted
+// matrix is its size. Clusters with no mass are re-seeded at the point with
+// the largest weighted distance w·d² to its assigned centroid (the standard
+// fix for dead centroids); the point's distance is then cleared so
+// successive dead centroids pick distinct points.
 func updateCentroids(m *matrix, sc *scratch, k int) {
 	d := m.d
 	for i := range sc.sums[:k*d] {
 		sc.sums[i] = 0
 	}
+	clear(sc.mass[:k])
 	for i := 0; i < m.n; i++ {
-		row := m.row(i)
-		cent := sc.sums[sc.assign[i]*d : (sc.assign[i]+1)*d]
-		for j, x := range row {
-			cent[j] += x
+		a, w := sc.assign[i], m.weight(i)
+		sc.mass[a] += w
+		cent := sc.sums[a*d : (a+1)*d]
+		for j, x := range m.row(i) {
+			cent[j] += x * w
 		}
 	}
 	for c := 0; c < k; c++ {
-		if sc.sizes[c] == 0 {
+		if sc.mass[c] == 0 {
 			far, farD := 0, -1.0
 			for i, dd := range sc.minD {
-				if dd > farD {
-					far, farD = i, dd
+				if dd < 0 {
+					continue // cleared by an earlier re-seed
+				}
+				if v := m.weight(i) * dd; v > farD {
+					far, farD = i, v
 				}
 			}
 			sc.minD[far] = -1
 			copy(sc.cents[c*d:(c+1)*d], m.row(far))
 			continue
 		}
-		inv := 1 / float64(sc.sizes[c])
+		inv := 1 / sc.mass[c]
 		for j := 0; j < d; j++ {
 			sc.cents[c*d+j] = sc.sums[c*d+j] * inv
 		}
@@ -543,11 +625,10 @@ func assignMatrix(m *matrix, centroids [][]float64, workers int) *Result {
 	}
 	refreshCentroidNorms(sc, k, d)
 	assignPoints(m, sc, k, workers)
-	var wcss float64
-	for i := 0; i < m.n; i++ {
-		sc.sizes[sc.assign[i]]++
-		wcss += sc.minD[i]
+	for _, a := range sc.assign {
+		sc.sizes[a]++
 	}
+	wcss := m.cost(sc.minD)
 	// Compact away empty clusters so K reflects reality.
 	remap := make([]int, k)
 	var kept [][]float64
@@ -573,18 +654,14 @@ func assignMatrix(m *matrix, centroids [][]float64, workers int) *Result {
 	}
 }
 
-// assignAll builds a Result by assigning every point to its nearest
-// centroid, dropping empty clusters. It is the slice-of-slices entry point
-// kept for callers that do not hold a flat matrix (the weighted engine).
-func assignAll(points [][]float64, centroids [][]float64) *Result {
-	return assignMatrix(flatten(points), centroids, 1)
-}
-
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting,
-// writing them into sc.cents. The RNG consumption order matches the
-// original slice-based implementation exactly, so seeding is bit-compatible
-// with earlier versions of this package. With bounded set the D² updates
-// go through updateD2Bounded, which produces the same d2 bits.
+// writing them into sc.cents. The first centre is uniform over the points;
+// each later one is drawn with probability proportional to w·D², while
+// sc.d2 itself keeps the unweighted D². The RNG consumption order matches
+// the original slice-based implementation exactly, so seeding is
+// bit-compatible with earlier versions of this package. With bounded set
+// the D² updates go through updateD2Bounded, which produces the same d2
+// bits.
 func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margin float64) {
 	d := m.d
 	first := r.Intn(m.n)
@@ -599,10 +676,7 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margi
 		clear(sc.near)
 	}
 	for picked := 1; picked < k; picked++ {
-		var total float64
-		for _, dd := range d2 {
-			total += dd
-		}
+		total := m.cost(d2)
 		var idx int
 		if total <= 0 {
 			// All points coincide with existing centroids; any choice works.
@@ -612,7 +686,7 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margi
 			acc := 0.0
 			idx = m.n - 1
 			for i, dd := range d2 {
-				acc += dd
+				acc += m.weight(i) * dd
 				if acc >= target {
 					idx = i
 					break
@@ -649,12 +723,17 @@ func sqDist(a, b []float64) float64 {
 // Moore (x-means), the criterion SimPoint 3.0 uses to pick k. Larger is
 // better.
 func BIC(points [][]float64, res *Result) float64 {
-	r := float64(len(points))
-	k := float64(res.K)
-	d := float64(len(points[0]))
-	if len(points) <= res.K {
+	return bic(len(points), len(points[0]), res)
+}
+
+// bic is BIC for n points of dimension dim.
+func bic(n, dim int, res *Result) float64 {
+	if n <= res.K {
 		return math.Inf(-1)
 	}
+	r := float64(n)
+	k := float64(res.K)
+	d := float64(dim)
 	// Pooled variance estimate.
 	sigma2 := res.WCSS / (r - k)
 	if sigma2 <= 0 {
@@ -694,22 +773,30 @@ func BIC(points [][]float64, res *Result) float64 {
 // to per-candidate Run calls because every buffer is fully rewritten before
 // use and each candidate still derives its own seed.
 func BestK(points [][]float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
-	if maxK <= 0 {
-		return nil, nil, fmt.Errorf("kmeans: maxK = %d", maxK)
-	}
 	if err := validatePoints(points, 1); err != nil {
 		return nil, nil, err
 	}
-	m := flatten(points)
-	run := func(_ [][]float64, k int, sub Config) (*Result, error) {
-		return runFlat(m, k, sub, true)
-	}
-	return bestKWith(points, maxK, threshold, cfg, run)
+	return bestKWith(flatten(points), maxK, threshold, cfg, true)
 }
 
-// bestKWith is the shared candidate sweep behind BestK and BestKWeighted.
-func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
-	run func([][]float64, int, Config) (*Result, error)) (*Result, map[int]float64, error) {
+// BestKWeighted is BestK for weighted points: it sweeps the same candidate
+// k grid with RunWeighted's kernel and scores candidates with BIC over the
+// weighted WCSS (an approximation — the point count, not the weight mass,
+// enters the complexity penalty — adequate for model selection). Weights
+// are validated as for RunWeighted; unit weights reproduce BestK bit for
+// bit.
+func BestKWeighted(points [][]float64, weights []float64, maxK int, threshold float64, cfg Config) (*Result, map[int]float64, error) {
+	m, err := weightedMatrix(points, weights, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return bestKWith(m, maxK, threshold, cfg, true)
+}
+
+// bestKWith is the candidate sweep behind BestK and BestKWeighted: every
+// candidate runs runFlat on the shared matrix m, with the bounded kernel
+// unless bounded is false (the plain reference the tests compare against).
+func bestKWith(m *matrix, maxK int, threshold float64, cfg Config, bounded bool) (*Result, map[int]float64, error) {
 	if maxK <= 0 {
 		return nil, nil, fmt.Errorf("kmeans: maxK = %d", maxK)
 	}
@@ -726,7 +813,6 @@ func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
 	type cand struct {
 		res *Result
 		bic float64
-		err error
 	}
 	out := make([]cand, len(candidates))
 	runOne := func(i int) {
@@ -744,16 +830,12 @@ func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
 			//lint:ignore nondet instrumentation-only clock read, gated on obs.Enabled; never flows into results
 			began = time.Now()
 		}
-		res, err := run(points, k, sub)
+		res := runFlat(m, k, sub, bounded)
 		if timed {
 			//lint:ignore nondet instrumentation-only duration for the candidate-k histogram; never flows into results
 			candidateKSeconds.Observe(time.Since(began).Seconds())
 		}
-		if err != nil {
-			out[i].err = err
-			return
-		}
-		out[i] = cand{res: res, bic: BIC(points, res)}
+		out[i] = cand{res: res, bic: bic(m.n, m.d, res)}
 	}
 	if workers <= 1 {
 		for i := range candidates {
@@ -778,9 +860,6 @@ func bestKWith(points [][]float64, maxK int, threshold float64, cfg Config,
 	scores := make(map[int]float64, len(candidates))
 	minB, maxB := math.Inf(1), math.Inf(-1)
 	for i, k := range candidates {
-		if out[i].err != nil {
-			return nil, nil, out[i].err
-		}
 		results[k] = out[i].res
 		scores[k] = out[i].bic
 		if out[i].bic < minB {

@@ -2,9 +2,8 @@ package kmeans
 
 import (
 	"math"
+	"strconv"
 	"testing"
-
-	"specsampling/internal/rng"
 )
 
 func uniformWeights(n int) []float64 {
@@ -37,28 +36,46 @@ func TestRunWeightedValidation(t *testing.T) {
 	}
 }
 
+// TestRunWeightedUniformMatchesUnweighted pins the fold of weights into the
+// one kernel: unit weights must reproduce the unweighted results bit for
+// bit — Run and BestK alike, with and without subsampling (n exceeds the
+// default 4096-point sample) and for serial and parallel kernels.
 func TestRunWeightedUniformMatchesUnweighted(t *testing.T) {
-	points, _ := gaussianClusters(3, 40, 5, 0.2, 21)
-	cfg := DefaultConfig(5)
-	cfg.SampleSize = 0
-	uw, err := RunWeighted(points, uniformWeights(len(points)), 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Run(points, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uw.K != plain.K {
-		t.Errorf("uniform-weight K %d != unweighted K %d", uw.K, plain.K)
-	}
-	// Same partitions up to label permutation: check via co-assignment of a
-	// few pairs.
-	for i := 0; i < len(points)-1; i += 7 {
-		same1 := uw.Assign[i] == uw.Assign[i+1]
-		same2 := plain.Assign[i] == plain.Assign[i+1]
-		if same1 != same2 {
-			t.Fatalf("partitions differ at pair %d", i)
+	points, _ := gaussianClusters(3, 1400, 5, 0.2, 21)
+	unit := uniformWeights(len(points))
+	for _, sample := range []int{0, DefaultConfig(0).SampleSize} {
+		for _, workers := range []int{1, 3} {
+			cfg := DefaultConfig(5)
+			cfg.SampleSize, cfg.Workers = sample, workers
+			label := "sample=" + strconv.Itoa(sample) + "/workers=" + strconv.Itoa(workers)
+
+			uw, err := RunWeighted(points, unit, 3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Run(points, 3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, plain, uw, "run/"+label)
+
+			uwBest, uwBIC, err := BestKWeighted(points, unit, 8, 0.9, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, bic, err := BestK(points, 8, 0.9, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, best, uwBest, "bestk/"+label)
+			if len(uwBIC) != len(bic) {
+				t.Fatalf("%s: BIC map sizes differ: %d != %d", label, len(uwBIC), len(bic))
+			}
+			for k, v := range bic {
+				if math.Float64bits(uwBIC[k]) != math.Float64bits(v) {
+					t.Fatalf("%s: BIC[%d] %v != %v", label, k, uwBIC[k], v)
+				}
+			}
 		}
 	}
 }
@@ -123,18 +140,5 @@ func TestBestKWeighted(t *testing.T) {
 	}
 	if _, _, err := BestKWeighted(points, uniformWeights(len(points)), 0, 0.9, DefaultConfig(8)); err == nil {
 		t.Error("maxK=0 accepted")
-	}
-}
-
-func TestWeightedPick(t *testing.T) {
-	// Deterministic sanity: with one dominant weight, picks concentrate.
-	weights := []float64{0.001, 0.001, 10, 0.001}
-	counts := make([]int, len(weights))
-	r := rng.New(9)
-	for i := 0; i < 1000; i++ {
-		counts[weightedPick(weights, &r)]++
-	}
-	if counts[2] < 950 {
-		t.Errorf("dominant weight picked only %d/1000 times", counts[2])
 	}
 }

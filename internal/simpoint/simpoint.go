@@ -147,7 +147,8 @@ type Point struct {
 	// Start and Len are the slice's replay coordinates.
 	Start program.State
 	Len   uint64
-	// Weight is the cluster's share of all slices (weights sum to 1).
+	// Weight is the cluster's share of all slices — of their instructions
+	// for ClusterWeighted (weights sum to 1).
 	Weight float64
 	// Cluster is the cluster id the point represents.
 	Cluster int
@@ -167,8 +168,10 @@ type Result struct {
 	Points []Point
 	// BIC holds the model-selection scores per candidate k.
 	BIC map[int]float64
-	// AvgClusterVariance is the mean within-cluster variance (WCSS divided
-	// by slice count), the metric of the paper's Figure 4.
+	// AvgClusterVariance is the mean within-cluster variance, the metric of
+	// the paper's Figure 4: WCSS divided by the clustering's weight mass —
+	// the slice count for Cluster, the slices' total instruction count for
+	// ClusterWeighted (whose WCSS is instruction-weighted).
 	AvgClusterVariance float64
 }
 
@@ -196,35 +199,44 @@ func (r *Result) SampledInstrs() uint64 {
 
 // Cluster runs steps 2-3 of the pipeline on profiled slices.
 func Cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("simpoint: no slices")
-	}
-	kcfg := cfg.KMeans
-	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
-		kcfg = kmeans.DefaultConfig(cfg.Seed)
-	}
+	return cluster(benchmark, slices, totalInstrs, cfg, nil)
+}
 
-	// Normalise + project.
-	dims := len(slices[0].BBV)
-	proj, err := bbv.NewProjector(dims, cfg.ProjectDims, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	points := make([][]float64, len(slices))
+// ClusterWeighted is the variable-length-interval variant of Cluster
+// (SimPoint 3.0, Hamerly et al. — discussed in the paper's Section V-B):
+// each slice influences the clustering in proportion to its instruction
+// count, and a simulation point's weight is its cluster's *instruction*
+// share rather than its slice-count share.
+//
+// For the fixed-length slices the default profiler cuts, the two variants
+// agree to within the final short slice; ClusterWeighted is the correct
+// formulation when slice lengths vary substantially.
+func ClusterWeighted(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (*Result, error) {
+	weights := make([]float64, len(slices))
 	for i, s := range slices {
-		v := append([]float64(nil), s.BBV...)
-		bbv.NormalizeL1(v)
-		points[i] = proj.Project(v)
+		weights[i] = float64(s.Len)
 	}
+	return cluster(benchmark, slices, totalInstrs, cfg, weights)
+}
 
-	res, scores, err := kmeans.BestK(points, cfg.MaxK, cfg.BICThreshold, kcfg)
+// cluster is Cluster with optional per-slice weights; nil means every slice
+// weighs the same.
+func cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config, weights []float64) (*Result, error) {
+	points, kcfg, err := project(slices, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pts := choosePoints(slices, points, res)
+	var res *kmeans.Result
+	var scores map[int]float64
+	if weights == nil {
+		res, scores, err = kmeans.BestK(points, cfg.MaxK, cfg.BICThreshold, kcfg)
+	} else {
+		res, scores, err = kmeans.BestKWeighted(points, weights, cfg.MaxK, cfg.BICThreshold, kcfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pts, mass := choosePoints(slices, points, res, weights)
 	return &Result{
 		Benchmark:          benchmark,
 		Config:             cfg,
@@ -232,8 +244,35 @@ func Cluster(benchmark string, slices []Slice, totalInstrs uint64, cfg Config) (
 		TotalInstrs:        totalInstrs,
 		Points:             pts,
 		BIC:                scores,
-		AvgClusterVariance: res.WCSS / float64(len(slices)),
+		AvgClusterVariance: res.WCSS / mass,
 	}, nil
+}
+
+// project validates cfg and slices, resolves the k-means configuration
+// (zero values mean kmeans.DefaultConfig(cfg.Seed)), and returns the
+// L1-normalised BBVs randomly projected to cfg.ProjectDims dimensions.
+func project(slices []Slice, cfg Config) ([][]float64, kmeans.Config, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, kmeans.Config{}, err
+	}
+	if len(slices) == 0 {
+		return nil, kmeans.Config{}, fmt.Errorf("simpoint: no slices")
+	}
+	kcfg := cfg.KMeans
+	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
+		kcfg = kmeans.DefaultConfig(cfg.Seed)
+	}
+	proj, err := bbv.NewProjector(len(slices[0].BBV), cfg.ProjectDims, cfg.Seed)
+	if err != nil {
+		return nil, kmeans.Config{}, err
+	}
+	points := make([][]float64, len(slices))
+	for i, s := range slices {
+		v := append([]float64(nil), s.BBV...)
+		bbv.NormalizeL1(v)
+		points[i] = proj.Project(v)
+	}
+	return points, kcfg, nil
 }
 
 // Analyze runs the complete pipeline: Profile then Cluster.
@@ -249,21 +288,31 @@ func Analyze(p *program.Program, cfg Config) (*Result, error) {
 }
 
 // choosePoints picks, per cluster, the slice whose projected BBV is nearest
-// the centroid, weighting it by cluster population.
-func choosePoints(slices []Slice, projected [][]float64, res *kmeans.Result) []Point {
+// the centroid, weighting it by the cluster's share of the total weight
+// mass. With nil weights every slice weighs 1, so a cluster's mass is its
+// population (exactly: the sums are of small integers). It also returns
+// the total mass.
+func choosePoints(slices []Slice, projected [][]float64, res *kmeans.Result, weights []float64) ([]Point, float64) {
 	best := make([]int, res.K)
 	bestD := make([]float64, res.K)
+	mass := make([]float64, res.K)
 	for c := range best {
 		best[c] = -1
 		bestD[c] = math.MaxFloat64
 	}
+	var total float64
 	for i, p := range projected {
 		c := res.Assign[i]
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		mass[c] += w
+		total += w
 		if d := bbv.SqDist(p, res.Centroids[c]); d < bestD[c] {
 			best[c], bestD[c] = i, d
 		}
 	}
-	total := float64(len(slices))
 	pts := make([]Point, 0, res.K)
 	for c, idx := range best {
 		if idx < 0 {
@@ -274,12 +323,12 @@ func choosePoints(slices []Slice, projected [][]float64, res *kmeans.Result) []P
 			SliceIndex: s.Index,
 			Start:      s.Start,
 			Len:        s.Len,
-			Weight:     float64(res.Sizes[c]) / total,
+			Weight:     mass[c] / total,
 			Cluster:    c,
 		})
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].SliceIndex < pts[j].SliceIndex })
-	return pts
+	return pts, total
 }
 
 // Reduce returns a copy of the result keeping only the heaviest points whose
@@ -318,26 +367,9 @@ func (r *Result) Reduce(percentile float64) (*Result, error) {
 // available clusters decrease, the phases try to adjust themselves within
 // these clusters at the expense of accuracy").
 func VarianceSweep(slices []Slice, ks []int, cfg Config) (map[int]float64, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("simpoint: no slices")
-	}
-	kcfg := cfg.KMeans
-	if kcfg.MaxIter == 0 && kcfg.Restarts == 0 {
-		kcfg = kmeans.DefaultConfig(cfg.Seed)
-	}
-	dims := len(slices[0].BBV)
-	proj, err := bbv.NewProjector(dims, cfg.ProjectDims, cfg.Seed)
+	points, kcfg, err := project(slices, cfg)
 	if err != nil {
 		return nil, err
-	}
-	points := make([][]float64, len(slices))
-	for i, s := range slices {
-		v := append([]float64(nil), s.BBV...)
-		bbv.NormalizeL1(v)
-		points[i] = proj.Project(v)
 	}
 	out := make(map[int]float64, len(ks))
 	for _, k := range ks {
