@@ -42,8 +42,8 @@ func (c Config) Validate() error {
 	if sets == 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
 	}
-	if c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, c.LineBytes)
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two of at least 2 bytes", c.Name, c.LineBytes)
 	}
 	return nil
 }
@@ -62,21 +62,19 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag   uint64
-	stamp uint64
-	valid bool
-}
-
 // Cache is a single level. It is not safe for concurrent use.
 type Cache struct {
-	cfg       Config
-	lines     []line // sets * ways, set-major
+	cfg Config
+	// tags holds sets*ways entries, set-major. Each set lists tag+1 of its
+	// resident lines in recency order, most recent first; 0 marks an empty
+	// way, and empty ways only ever trail the resident ones. Keeping the
+	// order in place makes true LRU a prefix shift: the victim is always
+	// the last way, so no per-line timestamps are needed.
+	tags      []uint64
 	ways      int
 	setMask   uint64
+	setShift  uint
 	lineShift uint
-	clock     uint64
 	stats     Stats
 	warmup    bool
 }
@@ -89,9 +87,10 @@ func New(cfg Config) (*Cache, error) {
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, sets*uint64(cfg.Ways)),
+		tags:      make([]uint64, sets*uint64(cfg.Ways)),
 		ways:      cfg.Ways,
 		setMask:   sets - 1,
+		setShift:  uint(bits.TrailingZeros64(sets)),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 	}, nil
 }
@@ -109,53 +108,47 @@ func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
 // Reset invalidates all lines and zeroes the statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
 	c.stats = Stats{}
-	c.clock = 0
 }
 
 // ResetStats zeroes the counters but keeps cache contents (used between a
 // warm-up period and a measured region when warm-up mode is not in play).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// set returns the recency-ordered ways of the set addr maps to and the
+// stored form (tag+1) of addr's tag. Validate's 2-byte minimum line size
+// keeps tag+1 from wrapping to the empty marker.
+func (c *Cache) set(addr uint64) ([]uint64, uint64) {
+	lineAddr := addr >> c.lineShift
+	base := int(lineAddr&c.setMask) * c.ways
+	return c.tags[base : base+c.ways], lineAddr>>c.setShift + 1
+}
+
 // Access looks up the line containing addr, filling it on a miss, and
 // reports whether the access hit. Addresses are byte addresses.
 func (c *Cache) Access(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := lineAddr & c.setMask
-	tag := lineAddr >> bits.TrailingZeros64(c.setMask+1)
-	base := int(set) * c.ways
-	ways := c.lines[base : base+c.ways]
-	c.clock++
+	ways, key := c.set(addr)
 	if !c.warmup {
 		c.stats.Accesses++
 	}
-	victim := 0
-	oldest := uint64(1<<64 - 1)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.stamp = c.clock
-			return true
-		}
-		if !l.valid {
-			// Prefer invalid ways; stamp 0 guarantees selection below.
-			if oldest != 0 {
-				victim, oldest = i, 0
-			}
-			continue
-		}
-		if l.stamp < oldest {
-			victim, oldest = i, l.stamp
-		}
+	if ways[0] == key {
+		return true // a hit on the most recent line, the common case
 	}
-	if !c.warmup {
+	// Stop at the line itself (a hit), at the first empty way (a miss into
+	// free space) or at the last way (a miss evicting the LRU line); in
+	// every case ways[i] leaves and the line moves to the front.
+	i := 0
+	for i < len(ways)-1 && ways[i] != key && ways[i] != 0 {
+		i++
+	}
+	hit := ways[i] == key
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = key
+	if !hit && !c.warmup {
 		c.stats.Misses++
 	}
-	ways[victim] = line{tag: tag, stamp: c.clock, valid: true}
-	return false
+	return hit
 }
 
 // install places the line holding addr into the cache without touching
@@ -170,14 +163,13 @@ func (c *Cache) install(addr uint64) {
 // Contains reports whether the line holding addr is currently cached,
 // without touching LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := lineAddr & c.setMask
-	tag := lineAddr >> bits.TrailingZeros64(c.setMask+1)
-	base := int(set) * c.ways
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
+	ways, key := c.set(addr)
+	for _, k := range ways {
+		if k == key {
 			return true
+		}
+		if k == 0 {
+			return false
 		}
 	}
 	return false

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,101 @@ func mkCache(t *testing.T, size uint64, ways int, lineBytes uint64) *Cache {
 	return c
 }
 
+// lruRef is the stamp-based true-LRU cache that the recency-ordered tag
+// array replaced: every access advances a clock and stamps the line it
+// touches, and a miss fills the first invalid way or else evicts the line
+// with the oldest stamp. It is kept as the reference model that Cache must
+// match access for access (see oracle_test.go).
+type lruRef struct {
+	lines     []refLine // sets * ways, set-major
+	ways      int
+	setMask   uint64
+	lineShift uint
+	clock     uint64
+	stats     Stats
+	warmup    bool
+}
+
+type refLine struct {
+	tag   uint64
+	stamp uint64
+	valid bool
+}
+
+func newLRURef(cfg Config) *lruRef {
+	sets := cfg.Sets()
+	return &lruRef{
+		lines:     make([]refLine, sets*uint64(cfg.Ways)),
+		ways:      cfg.Ways,
+		setMask:   sets - 1,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
+	}
+}
+
+func (c *lruRef) locate(addr uint64) ([]refLine, uint64) {
+	lineAddr := addr >> c.lineShift
+	base := int(lineAddr&c.setMask) * c.ways
+	return c.lines[base : base+c.ways], lineAddr >> bits.TrailingZeros64(c.setMask+1)
+}
+
+func (c *lruRef) Access(addr uint64) bool {
+	ways, tag := c.locate(addr)
+	c.clock++
+	if !c.warmup {
+		c.stats.Accesses++
+	}
+	victim := 0
+	oldest := uint64(1<<64 - 1)
+	for i := range ways {
+		l := &ways[i]
+		if l.valid && l.tag == tag {
+			l.stamp = c.clock
+			return true
+		}
+		if !l.valid {
+			if oldest != 0 {
+				victim, oldest = i, 0
+			}
+			continue
+		}
+		if l.stamp < oldest {
+			victim, oldest = i, l.stamp
+		}
+	}
+	if !c.warmup {
+		c.stats.Misses++
+	}
+	ways[victim] = refLine{tag: tag, stamp: c.clock, valid: true}
+	return false
+}
+
+func (c *lruRef) Install(addr uint64) {
+	saved := c.warmup
+	c.warmup = true
+	c.Access(addr)
+	c.warmup = saved
+}
+
+func (c *lruRef) Contains(addr uint64) bool {
+	ways, tag := c.locate(addr)
+	for _, l := range ways {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *lruRef) SetWarmup(on bool) { c.warmup = on }
+func (c *lruRef) Stats() Stats      { return c.stats }
+func (c *lruRef) ResetStats()       { c.stats = Stats{} }
+
+func (c *lruRef) Reset() {
+	clear(c.lines)
+	c.stats = Stats{}
+	c.clock = 0
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{Name: "ok", SizeBytes: 32 << 10, Ways: 4, LineBytes: 32}
 	if err := good.Validate(); err != nil {
@@ -25,6 +121,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero-line", SizeBytes: 1024, Ways: 1, LineBytes: 0},
 		{Name: "indivisible", SizeBytes: 1000, Ways: 3, LineBytes: 32},
 		{Name: "npo2-line", SizeBytes: 96 * 24, Ways: 1, LineBytes: 24},
+		{Name: "one-byte-line", SizeBytes: 64, Ways: 64, LineBytes: 1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -87,8 +87,9 @@ func (a *Analysis) measure(ctx context.Context, res *simpoint.Result, label stri
 
 // RunComparison is the Figure 5 measurement: dynamic instruction counts and
 // execution times of Whole, Regional and Reduced Regional runs. Times are
-// serial replay wall-clock (the paper's per-benchmark execution times; it
-// notes pinballs *can* run in parallel, but reports aggregate time).
+// serial replay wall-clock, the fastest of repeated runs (the paper's
+// per-benchmark execution times; it notes pinballs *can* run in parallel,
+// but reports aggregate time).
 type RunComparison struct {
 	WholeInstrs    uint64
 	RegionalInstrs uint64
@@ -127,7 +128,8 @@ func (rc RunComparison) TimeReduction() (regional, reduced float64) {
 }
 
 // CompareRuns executes whole, regional and reduced-regional runs with the
-// inscount Pintool and measures instructions and serial wall-clock time.
+// inscount Pintool and measures instructions and serial wall-clock time,
+// each time the fastest of timeReps repetitions.
 func (a *Analysis) CompareRuns(ctx context.Context, percentile float64) (RunComparison, error) {
 	_, span := obs.Start(ctx, "compare_runs",
 		obs.String("bench", a.Prog.Name), obs.Float("percentile", percentile))
@@ -141,34 +143,36 @@ func (a *Analysis) CompareRuns(ctx context.Context, percentile float64) (RunComp
 	}
 	rc.NumPoints90 = reduced.NumPoints()
 
-	// Whole run.
-	start := time.Now()
-	engine := pin.NewEngine(a.Prog)
-	ic := pintool.NewInsCount()
-	if err := engine.Attach(ic); err != nil {
+	rc.WholeInstrs, rc.WholeTime, err = minTime(func() (uint64, error) {
+		engine := pin.NewEngine(a.Prog)
+		if err := engine.Attach(pintool.NewInsCount()); err != nil {
+			return 0, err
+		}
+		return engine.RunToEnd(), nil
+	})
+	if err != nil {
 		return rc, err
 	}
-	rc.WholeInstrs = engine.RunToEnd()
-	rc.WholeTime = time.Since(start)
 
 	replaySerial := func(res *simpoint.Result) (uint64, time.Duration, error) {
 		pbs, err := a.Pinballs(res, 0)
 		if err != nil {
 			return 0, 0, err
 		}
-		var instrs uint64
-		begin := time.Now()
-		for _, pb := range pbs {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
+		return minTime(func() (uint64, error) {
+			var instrs uint64
+			for _, pb := range pbs {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+				n, err := pinball.Replay(a.Prog, pb, pintool.NewInsCount())
+				if err != nil {
+					return 0, err
+				}
+				instrs += n
 			}
-			n, err := pinball.Replay(a.Prog, pb, pintool.NewInsCount())
-			if err != nil {
-				return 0, 0, err
-			}
-			instrs += n
-		}
-		return instrs, time.Since(begin), nil
+			return instrs, nil
+		})
 	}
 
 	if rc.RegionalInstrs, rc.RegionalTime, err = replaySerial(a.Result); err != nil {
@@ -178,6 +182,28 @@ func (a *Analysis) CompareRuns(ctx context.Context, percentile float64) (RunComp
 		return rc, err
 	}
 	return rc, nil
+}
+
+// timeReps is how many times CompareRuns repeats each timed run.
+const timeReps = 3
+
+// minTime runs the deterministic run timeReps times and returns its
+// instruction count with the shortest wall-clock time. At small scale a
+// regional replay takes well under a millisecond, so a single preemption or
+// GC pause inside one timed interval can invert the whole/regional ratio;
+// the minimum discards such stalls, and taking it on every side keeps the
+// ratios unbiased.
+func minTime(run func() (uint64, error)) (n uint64, best time.Duration, err error) {
+	for i := 0; i < timeReps; i++ {
+		start := time.Now()
+		if n, err = run(); err != nil {
+			return 0, 0, err
+		}
+		if d := time.Since(start); i == 0 || d < best {
+			best = d
+		}
+	}
+	return n, best, nil
 }
 
 // PercentilePoint is one entry of the Figure 9 sweep.

@@ -59,6 +59,17 @@ func Targets() []Target {
 			Pattern: "^Benchmark(Stratified|RankedSet)Select$",
 			Record:  true,
 		},
+		// The cache-model kernel under a real program's address stream:
+		// every whole-run and pinball replay through allcache or the timing
+		// core pays it. One op replays ~410k recorded events, so ten
+		// iterations self-average.
+		{
+			Name:      "cache",
+			Pkg:       "./internal/cache",
+			Pattern:   "^BenchmarkHierarchyReplay$",
+			Record:    true,
+			Benchtime: "10x",
+		},
 		// The telemetry hot paths: bucketed-histogram Observe is on every
 		// instrumented request, and the full-registry Prometheus exposition
 		// is what a scraper pays per poll. Both join the recorded baseline

@@ -41,8 +41,8 @@ func Workers(n int) int {
 // when a tracer is installed (the histograms need a clock).
 var (
 	taskCounter = obs.GetCounter("sched.tasks")
-	taskWaitMS  = obs.GetHistogram("sched.task_wait_ms")
-	taskRunMS   = obs.GetHistogram("sched.task_run_ms")
+	taskWait    = obs.GetHistogram("sched.task_wait_seconds")
+	taskRun     = obs.GetHistogram("sched.task_run_seconds")
 	groupHits   = obs.GetCounter("sched.group.hits")
 	groupMisses = obs.GetCounter("sched.group.misses")
 )
@@ -85,9 +85,9 @@ func ForEachSharded(ctx context.Context, workers, n int, fn func(worker, i int) 
 			return fn(w, i)
 		}
 		start := time.Now()
-		taskWaitMS.Observe(float64(start.Sub(begin).Microseconds()) / 1e3)
+		taskWait.Observe(start.Sub(begin).Seconds())
 		err := fn(w, i)
-		taskRunMS.Observe(float64(time.Since(start).Microseconds()) / 1e3)
+		taskRun.Observe(time.Since(start).Seconds())
 		return err
 	}
 
