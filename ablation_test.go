@@ -70,7 +70,11 @@ func BenchmarkAblationWarmupLength(b *testing.B) {
 // phases together (fewer points, worse mix error); more than 15 buys little.
 func BenchmarkAblationProjectionDims(b *testing.B) {
 	an := ablationAnalysis(b)
-	whole := an.WholeMix(tctx)
+	w, err := an.MeasureWhole(tctx, core.Tools{Mix: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	whole := w.Mix()
 	for i := 0; i < b.N; i++ {
 		for _, dims := range []int{2, 15, 64} {
 			cfg := simpoint.DefaultConfig(an.Config.Scale.SliceLen)
@@ -85,10 +89,11 @@ func BenchmarkAblationProjectionDims(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mix, err := an.SampledMix(tctx, pbs)
+			m, err := an.Measure(tctx, pbs, core.Tools{Mix: true})
 			if err != nil {
 				b.Fatal(err)
 			}
+			mix := m.Mix()
 			var errPP float64
 			for c := 0; c < 4; c++ {
 				errPP += math.Abs(mix.Fractions[c]-whole.Fractions[c]) / 4 * 100

@@ -52,6 +52,21 @@ import (
 	"specsampling/internal/store"
 )
 
+// Listener timeouts. A client must finish its request headers within
+// headerTimeout and may hold an idle keep-alive connection for idleTimeout,
+// so a slow or silent client cannot pin a connection forever. Reads of the
+// body and writes stay unbounded: /v1/jobs/{id}/events streams for as long
+// as the job runs, and pprof's profile endpoint writes after sampling.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer is the one constructor behind both listeners.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	// The root context and the signal subscription are minted here and
 	// nowhere else. The first signal triggers the graceful drain; the root
@@ -168,7 +183,7 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dhs := &http.Server{Handler: dmux}
+		dhs := newHTTPServer(dmux)
 		go func() {
 			if derr := dhs.Serve(dln); derr != nil && !errors.Is(derr, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "specsimd: debug server:", derr)
@@ -185,7 +200,7 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "specsimd: listening on %s (store %s, %d shards)\n",

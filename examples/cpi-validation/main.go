@@ -54,24 +54,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		regional, err := an.SampledCPI(ctx, pbs, an.TimingConfig())
+		tcfg := an.TimingConfig()
+		m, err := an.Measure(ctx, pbs, core.Tools{CPI: &tcfg})
 		if err != nil {
 			log.Fatal(err)
 		}
+		regional := m.CPI()
 
-		// And on the 90th-percentile reduced points.
+		// And on the 90th-percentile reduced points: a subset of the
+		// regional ones, so re-weight their measurements instead of
+		// replaying them again.
 		reducedRes, err := an.Result.Reduce(0.9)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rpbs, err := an.Pinballs(reducedRes, 16)
+		rm, err := m.Reweight(reducedRes)
 		if err != nil {
 			log.Fatal(err)
 		}
-		reduced, err := an.SampledCPI(ctx, rpbs, an.TimingConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
+		reduced := rm.CPI()
 
 		natCPIs = append(natCPIs, nat.CPI())
 		regCPIs = append(regCPIs, regional.CPI)

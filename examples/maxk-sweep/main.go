@@ -39,11 +39,11 @@ func main() {
 		log.Fatal(err)
 	}
 	hier := cache.ScaledHierarchy(cache.TableIConfig(), scale.CacheDivs)
-	whole := an.WholeMix(ctx)
-	wholeCache, err := an.WholeCache(ctx, hier)
+	w, err := an.MeasureWhole(ctx, core.Tools{Mix: true, Cache: &hier})
 	if err != nil {
 		log.Fatal(err)
 	}
+	whole, wholeCache := w.Mix(), w.Cache()
 
 	points, err := an.SweepMaxK(ctx, []int{5, 10, 15, 20, 25, 30, 35}, hier)
 	if err != nil {

@@ -53,12 +53,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Replay them (in parallel) with ldstmix and weight-average.
-	sampled, err := an.SampledMix(ctx, pinballs)
+	// 4. Replay them (in parallel) with ldstmix and weight-average; run the
+	// whole program once with the same tool for reference.
+	tools := core.Tools{Mix: true}
+	m, err := an.Measure(ctx, pinballs, tools)
 	if err != nil {
 		log.Fatal(err)
 	}
-	whole := an.WholeMix(ctx)
+	w, err := an.MeasureWhole(ctx, tools)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sampled, whole := m.Mix(), w.Mix()
 
 	// 5. Compare: the paper reports <1% error (Figure 7).
 	labels := []string{"NO_MEM", "MEM_R", "MEM_W", "MEM_RW"}

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"specsampling/internal/cache"
 	"specsampling/internal/native"
+	"specsampling/internal/pin"
+	"specsampling/internal/pintool"
+	"specsampling/internal/simpoint"
+	"specsampling/internal/timing"
 	"specsampling/internal/workload"
 )
 
@@ -98,15 +103,19 @@ func TestPinballsWithWarmup(t *testing.T) {
 // mix matches the whole-run mix to within ~1-2%.
 func TestSampledMixTracksWholeMix(t *testing.T) {
 	an := analyzeBench(t, "541.leela_r")
-	whole := an.WholeMix(tctx)
+	w, err := an.MeasureWhole(tctx, Tools{Mix: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pbs, err := an.Pinballs(an.Result, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := an.SampledMix(tctx, pbs)
+	m, err := an.Measure(tctx, pbs, Tools{Mix: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole, sampled := w.Mix(), m.Mix()
 	for c := 0; c < 4; c++ {
 		if d := math.Abs(sampled.Fractions[c] - whole.Fractions[c]); d > 0.03 {
 			t.Errorf("category %d: sampled %v vs whole %v (abs diff %v)",
@@ -310,8 +319,25 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := an.Pinballs(nil, 0); err == nil {
 		t.Error("nil result accepted")
 	}
-	if _, err := an.SampledMix(tctx, nil); err == nil {
+	if _, err := an.Measure(tctx, nil, Tools{Mix: true}); err == nil {
 		t.Error("empty pinball set accepted for mix")
+	}
+	pbs, err := an.Pinballs(an.Result, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.Measure(tctx, pbs, Tools{}); err == nil {
+		t.Error("empty tool set accepted")
+	}
+	if _, err := an.MeasureWhole(tctx, Tools{}); err == nil {
+		t.Error("empty tool set accepted for a whole run")
+	}
+	m, err := an.Measure(tctx, pbs[1:], Tools{Mix: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Reweight(an.Result); err == nil {
+		t.Error("re-weighting onto an unmeasured region accepted")
 	}
 	if _, err := an.SampledCache(tctx, nil, an.CacheConfig()); err == nil {
 		t.Error("empty pinball set accepted for cache")
@@ -364,46 +390,137 @@ func TestRepeatedReplayReducesL3Error(t *testing.T) {
 	}
 }
 
-func TestSplitWarmingReducesL3Error(t *testing.T) {
-	an := analyzeBench(t, "505.mcf_r")
-	hier := an.CacheConfig()
-	whole, err := an.WholeCache(tctx, hier)
+// directWhole is the whole-run read without the measurement engine: one
+// engine per tool, run to the end, each tool's counters read directly.
+func directWhole(t *testing.T, an *Analysis, hier cache.HierarchyConfig, tcfg timing.Config) (MixProfile, CacheProfile, CPIProfile) {
+	t.Helper()
+	run := func(tool pin.Tool) uint64 {
+		engine := pin.NewEngine(an.Prog)
+		if err := engine.Attach(tool); err != nil {
+			t.Fatal(err)
+		}
+		return engine.RunToEnd()
+	}
+	mix := pintool.NewLdStMix()
+	n := run(mix)
+	mixProf := MixProfile{Fractions: mix.Fractions(), Instrs: n}
+	h, err := cache.NewHierarchy(hier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbs, err := an.Pinballs(an.Result, 0)
+	n = run(pintool.NewAllCache(h))
+	l1d, l2, l3 := h.MissRates()
+	cacheProf := CacheProfile{L1D: l1d, L2: l2, L3: l3, L1I: h.L1I.Stats().MissRate(),
+		L3Accesses: h.L3.Stats().Accesses, Instrs: n}
+	core, err := timing.NewCore(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := an.SampledCache(tctx, pbs, hier)
-	if err != nil {
-		t.Fatal(err)
+	run(core)
+	c := core.Counters()
+	return mixProf, cacheProf, CPIProfile{CPI: c.CPI(), Cycles: c.Cycles, Instrs: c.Instructions}
+}
+
+// TestMeasureDifferential pins the one measurement engine bit for bit
+// (==, every field) against the reads it replaced, per benchmark and
+// warm-up:
+//   - one pass with {mix, cache, CPI} equals the three single-tool passes;
+//   - re-weighting the Regional measurement by Reduce(0.9) equals replaying
+//     the reduced pinballs;
+//   - the one-region whole run equals reading each tool's whole run
+//     directly.
+func TestMeasureDifferential(t *testing.T) {
+	// 16 is experiments.DefaultWarmupSlices (which this package cannot
+	// import): the Fig. 8 and Fig. 12 warm-up.
+	const defaultWarmup = 16
+	type tcase struct {
+		bench  string
+		warmup int
 	}
-	split, err := an.SampledCacheSplit(tctx, pbs, hier, 0.5)
-	if err != nil {
-		t.Fatal(err)
+	var cases []tcase
+	for _, bench := range []string{"505.mcf_r", "541.leela_r", "519.lbm_r", "623.xalancbmk_s"} {
+		for _, w := range []int{0, defaultWarmup} {
+			cases = append(cases, tcase{bench, w})
+		}
 	}
-	coldErr := math.Abs(cold.L3 - whole.L3)
-	splitErr := math.Abs(split.L3 - whole.L3)
-	if splitErr > coldErr {
-		t.Errorf("split warming increased L3 error: %v -> %v", coldErr, splitErr)
-	}
-	// Measured instructions shrink by roughly the warm fraction.
-	if split.Instrs >= cold.Instrs {
-		t.Error("split warming should measure fewer instructions")
-	}
-	// Zero warm fraction must equal the plain path.
-	zero, err := an.SampledCacheSplit(tctx, pbs, hier, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(zero.L3-cold.L3) > 1e-9 {
-		t.Errorf("warmFrac=0 L3 %v != plain %v", zero.L3, cold.L3)
-	}
-	if _, err := an.SampledCacheSplit(tctx, pbs, hier, 1.0); err == nil {
-		t.Error("warmFrac=1 accepted")
-	}
-	if _, err := an.SampledCacheSplit(tctx, nil, hier, 0.5); err == nil {
-		t.Error("empty pinballs accepted")
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/warmup=%d", tc.bench, tc.warmup), func(t *testing.T) {
+			an := analyzeBench(t, tc.bench)
+			hier, tcfg := an.CacheConfig(), an.TimingConfig()
+			all := Tools{Mix: true, Cache: &hier, CPI: &tcfg}
+
+			pbs, err := an.Pinballs(an.Result, tc.warmup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			joint, err := an.Measure(tctx, pbs, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var single [3]Measurement
+			for k, tools := range []Tools{{Mix: true}, {Cache: &hier}, {CPI: &tcfg}} {
+				if single[k], err = an.Measure(tctx, pbs, tools); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, r := range joint.Regions {
+				if r.Mix != single[0].Regions[i].Mix || r.Cache != single[1].Regions[i].Cache ||
+					r.CPI != single[2].Regions[i].CPI {
+					t.Errorf("region %d: joint pass differs from single-tool passes", i)
+				}
+			}
+			if joint.Mix() != single[0].Mix() || joint.Cache() != single[1].Cache() || joint.CPI() != single[2].CPI() {
+				t.Error("joint aggregates differ from single-tool aggregates")
+			}
+
+			reduced, err := an.Result.Reduce(0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Reduce keeps the regional weights; the uniform variant also
+			// checks that re-weighting takes the selection's own weights.
+			uniform := *reduced
+			uniform.Points = append([]simpoint.Point(nil), reduced.Points...)
+			for i := range uniform.Points {
+				uniform.Points[i].Weight = 1
+			}
+			for _, sel := range []*simpoint.Result{reduced, &uniform} {
+				rpbs, err := an.Pinballs(sel, tc.warmup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayed, err := an.Measure(tctx, rpbs, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reweighted, err := joint.Reweight(sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(reweighted.Regions) != len(replayed.Regions) {
+					t.Fatalf("re-weighted %d regions, replayed %d", len(reweighted.Regions), len(replayed.Regions))
+				}
+				for i := range replayed.Regions {
+					if reweighted.Regions[i] != replayed.Regions[i] {
+						t.Errorf("reduced region %d: re-weighted differs from replayed", i)
+					}
+				}
+				if reweighted.Mix() != replayed.Mix() || reweighted.Cache() != replayed.Cache() || reweighted.CPI() != replayed.CPI() {
+					t.Error("re-weighted aggregates differ from replaying the reduced pinballs")
+				}
+			}
+
+			if tc.warmup != 0 {
+				return // the whole run has no warm-up; check it once
+			}
+			whole, err := an.MeasureWhole(tctx, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mix, cp, cpi := directWhole(t, an, hier, tcfg)
+			if whole.Mix() != mix || whole.Cache() != cp || whole.CPI() != cpi {
+				t.Errorf("whole run differs from the direct reads:\n%+v\n%+v", whole.Regions[0], []interface{}{mix, cp, cpi})
+			}
+		})
 	}
 }

@@ -68,21 +68,18 @@ func SweepSliceSize(ctx context.Context, spec workload.Spec, cfg Config, paperSi
 	return out, nil
 }
 
-// measure cuts pinballs for a result and collects mix + cache profiles.
+// measure cuts pinballs for a result and collects mix + cache profiles in
+// one measurement pass.
 func (a *Analysis) measure(ctx context.Context, res *simpoint.Result, label string, hier cache.HierarchyConfig) (SweepPoint, error) {
 	pbs, err := a.Pinballs(res, 0)
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	mix, err := a.SampledMix(ctx, pbs)
+	m, err := a.Measure(ctx, pbs, Tools{Mix: true, Cache: &hier})
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	cp, err := a.SampledCache(ctx, pbs, hier)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return SweepPoint{Label: label, NumPoints: res.NumPoints(), Mix: mix, Cache: cp}, nil
+	return SweepPoint{Label: label, NumPoints: res.NumPoints(), Mix: m.Mix(), Cache: m.Cache()}, nil
 }
 
 // RunComparison is the Figure 5 measurement: dynamic instruction counts and
@@ -222,7 +219,9 @@ type PercentilePoint struct {
 
 // PercentileSweep reduces the analysis result at each percentile and
 // measures mix, miss rates and replay time — the paper's Figure 9
-// accuracy-vs-runtime trade-off.
+// accuracy-vs-runtime trade-off. Each percentile is replayed rather than
+// re-weighted from the full measurement, because its replay time is part of
+// the result.
 func (a *Analysis) PercentileSweep(ctx context.Context, percentiles []float64, hier cache.HierarchyConfig) ([]PercentilePoint, error) {
 	out := make([]PercentilePoint, 0, len(percentiles))
 	for _, pct := range percentiles {
@@ -235,19 +234,15 @@ func (a *Analysis) PercentileSweep(ctx context.Context, percentiles []float64, h
 			return nil, err
 		}
 		begin := time.Now()
-		mix, err := a.SampledMix(ctx, pbs)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := a.SampledCache(ctx, pbs, hier)
+		m, err := a.Measure(ctx, pbs, Tools{Mix: true, Cache: &hier})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, PercentilePoint{
 			Percentile: pct,
 			NumPoints:  res.NumPoints(),
-			Mix:        mix,
-			Cache:      cp,
+			Mix:        m.Mix(),
+			Cache:      m.Cache(),
 			ReplayTime: time.Since(begin),
 		})
 	}

@@ -202,48 +202,87 @@ func (r *Runner) wholeKey(kind, bench string) store.Key {
 	}}
 }
 
-// wholeCache returns (and caches) the benchmark's whole-run cache profile.
-func (r *Runner) wholeCache(ctx context.Context, an *core.Analysis) (core.CacheProfile, error) {
-	return r.wholeC.Do(ctx, an.Spec.Name, func() (core.CacheProfile, error) {
-		key := r.wholeKey("whole_cache", an.Spec.Name)
-		var p core.CacheProfile
-		if r.store.Get(ctx, key, &p) {
-			return p, nil
+// wholeKinds is a set of whole-run profile kinds.
+type wholeKinds struct{ mix, cache, cpi bool }
+
+// wholeRun holds a benchmark's whole-run profiles; kinds not requested are
+// zero.
+type wholeRun struct {
+	mix   core.MixProfile
+	cache core.CacheProfile
+	cpi   core.CPIProfile
+}
+
+// whole returns (and caches) the benchmark's whole-run profiles of the
+// requested kinds. Each kind keeps its own singleflight group and store key
+// (whole_mix, whole_cache, whole_cpi), looked up memory → disk → compute in
+// that order; the first kind that misses both runs one core.MeasureWhole
+// pass over every kind not yet served, and the later kinds take their
+// profiles from that pass. So a caller needing several kinds replays the
+// whole program at most once.
+func (r *Runner) whole(ctx context.Context, an *core.Analysis, need wholeKinds) (wholeRun, error) {
+	hier, tcfg := r.CacheConfig(), r.TimingConfig()
+	left := need // kinds not yet served
+	var pass *core.Measurement
+	// measure runs the pass on its first call. Group.Do runs fn in the
+	// calling goroutine, so pass and left need no lock.
+	measure := func() (core.Measurement, error) {
+		if pass == nil {
+			tools := core.Tools{Mix: left.mix}
+			if left.cache {
+				tools.Cache = &hier
+			}
+			if left.cpi {
+				tools.CPI = &tcfg
+			}
+			m, err := an.MeasureWhole(ctx, tools)
+			if err != nil {
+				return m, err
+			}
+			pass = &m
 		}
-		p, err := an.WholeCache(ctx, r.CacheConfig())
+		return *pass, nil
+	}
+	var out wholeRun
+	var err error
+	if need.mix {
+		out.mix, err = wholeKind(ctx, r, &r.wholeM, "whole_mix", an.Spec.Name, func() (core.MixProfile, error) {
+			m, err := measure()
+			return m.Mix(), err
+		})
 		if err != nil {
-			return p, err
+			return out, err
 		}
-		_ = r.store.Put(ctx, key, p) // cache write failure must not fail the run
-		return p, nil
-	})
+		left.mix = false
+	}
+	if need.cache {
+		out.cache, err = wholeKind(ctx, r, &r.wholeC, "whole_cache", an.Spec.Name, func() (core.CacheProfile, error) {
+			m, err := measure()
+			return m.Cache(), err
+		})
+		if err != nil {
+			return out, err
+		}
+		left.cache = false
+	}
+	if need.cpi {
+		out.cpi, err = wholeKind(ctx, r, &r.wholeP, "whole_cpi", an.Spec.Name, func() (core.CPIProfile, error) {
+			m, err := measure()
+			return m.CPI(), err
+		})
+	}
+	return out, err
 }
 
-// wholeMix returns (and caches) the benchmark's whole-run instruction mix.
-func (r *Runner) wholeMix(ctx context.Context, an *core.Analysis) core.MixProfile {
-	mp, _ := r.wholeM.Do(ctx, an.Spec.Name, func() (core.MixProfile, error) {
-		key := r.wholeKey("whole_mix", an.Spec.Name)
-		var p core.MixProfile
+// wholeKind is one kind's memory → disk → compute lookup.
+func wholeKind[P any](ctx context.Context, r *Runner, g *sched.Group[string, P], kind, bench string, compute func() (P, error)) (P, error) {
+	return g.Do(ctx, bench, func() (P, error) {
+		key := r.wholeKey(kind, bench)
+		var p P
 		if r.store.Get(ctx, key, &p) {
 			return p, nil
 		}
-		p = an.WholeMix(ctx)
-		_ = r.store.Put(ctx, key, p) // cache write failure must not fail the run
-		return p, nil
-	})
-	return mp
-}
-
-// wholeCPI returns (and caches) the benchmark's whole-run CPI — the
-// ground truth the shoot-out scores every selector against.
-func (r *Runner) wholeCPI(ctx context.Context, an *core.Analysis) (core.CPIProfile, error) {
-	return r.wholeP.Do(ctx, an.Spec.Name, func() (core.CPIProfile, error) {
-		key := r.wholeKey("whole_cpi", an.Spec.Name)
-		var p core.CPIProfile
-		if r.store.Get(ctx, key, &p) {
-			return p, nil
-		}
-		p, err := an.WholeCPI(ctx, r.TimingConfig())
+		p, err := compute()
 		if err != nil {
 			return p, err
 		}
@@ -273,15 +312,16 @@ func IDs() []string {
 // prewarmNeeds describes what one benchmark needs before the requested
 // experiments can run without recomputing anything.
 type prewarmNeeds struct {
-	spec            workload.Spec
-	mix, cache, cpi bool
+	spec workload.Spec
+	wholeKinds
 }
 
 // Prewarm precomputes, in parallel across the worker budget, every
 // per-benchmark analysis and whole-run profile the given experiment ids
-// will need ("all" expands to every experiment). Figures executed
-// afterwards find their inputs cached and only pay their own incremental
-// replay cost. Calling Prewarm is never required — the figure loops are
+// will need ("all" expands to every experiment), with at most one
+// whole-program pass per benchmark for the union of the whole-run kinds.
+// Figures executed afterwards find their inputs cached and only pay their
+// own incremental replay cost. Calling Prewarm is never required — the figure loops are
 // parallel and the caches are singleflight either way — but it front-loads
 // the dominant cost into one suite-wide fan-out.
 func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
@@ -312,7 +352,7 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 	var jobs []prewarmNeeds
 	if suite {
 		for _, spec := range r.specs {
-			jobs = append(jobs, prewarmNeeds{spec: spec, mix: suiteMix, cache: suiteCache, cpi: suiteCPI})
+			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{suiteMix, suiteCache, suiteCPI}})
 		}
 	}
 	if fig3 {
@@ -328,7 +368,7 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 			}
 		}
 		if !found {
-			jobs = append(jobs, prewarmNeeds{spec: spec, mix: true, cache: true})
+			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{mix: true, cache: true}})
 		}
 	}
 	return sched.ForEach(ctx, r.workers(), len(jobs), func(i int) error {
@@ -337,20 +377,8 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 		if err != nil {
 			return err
 		}
-		if job.mix {
-			r.wholeMix(ctx, an)
-		}
-		if job.cache {
-			if _, err := r.wholeCache(ctx, an); err != nil {
-				return err
-			}
-		}
-		if job.cpi {
-			if _, err := r.wholeCPI(ctx, an); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err = r.whole(ctx, an, job.wholeKinds)
+		return err
 	})
 }
 

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"specsampling/internal/obs"
+	"specsampling/internal/store"
 	"specsampling/internal/workload"
 )
 
@@ -394,5 +398,61 @@ func TestRunRecordedCollectsResults(t *testing.T) {
 	}
 	if report.Len() != 3 {
 		t.Error("tableI should not add a result")
+	}
+}
+
+// wholeSpanSink counts "whole" spans (whole-program measurement passes)
+// per benchmark.
+type wholeSpanSink struct {
+	mu     sync.Mutex
+	passes map[string]int
+}
+
+func (s *wholeSpanSink) Progress(obs.ProgressEvent) {}
+func (s *wholeSpanSink) Close() error               { return nil }
+func (s *wholeSpanSink) SpanEnd(sd *obs.SpanData) {
+	if sd.Name != "whole" {
+		return
+	}
+	for _, a := range sd.Attrs {
+		if a.Key == "bench" {
+			s.mu.Lock()
+			s.passes[a.Value.(string)]++
+			s.mu.Unlock()
+		}
+	}
+}
+
+// TestPrewarmOneWholePassPerBenchmark checks that the shoot-out's three
+// whole-run profiles (mix, cache, CPI) come from one whole-program pass per
+// benchmark, with and without a store, and that a runner over the warmed
+// store replays nothing.
+func TestPrewarmOneWholePassPerBenchmark(t *testing.T) {
+	benches := []string{"505.mcf_r", "541.leela_r"}
+	st, err := store.Open(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store *store.Store
+		want  int
+	}{{"no store", nil, 1}, {"cold store", st, 1}, {"warm store", st, 0}} {
+		r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: benches, Store: tc.store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &wholeSpanSink{passes: map[string]int{}}
+		obs.Enable(sink)
+		err = r.Prewarm(tctx, "shootout")
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range benches {
+			if got := sink.passes[b]; got != tc.want {
+				t.Errorf("%s: %s ran %d whole-run passes, want %d", tc.name, b, got, tc.want)
+			}
+		}
 	}
 }

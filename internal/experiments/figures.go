@@ -48,10 +48,11 @@ func (r *Runner) Fig3a(ctx context.Context, bench string, maxKs []int) (*SweepRe
 		return nil, err
 	}
 	res := &SweepResult{Benchmark: spec.Name}
-	res.Whole.Mix = r.wholeMix(ctx, an)
-	if res.Whole.Cache, err = r.wholeCache(ctx, an); err != nil {
+	w, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true})
+	if err != nil {
 		return nil, err
 	}
+	res.Whole.Mix, res.Whole.Cache = w.mix, w.cache
 	if res.Points, err = an.SweepMaxK(ctx, maxKs, r.CacheConfig()); err != nil {
 		return nil, err
 	}
@@ -75,10 +76,11 @@ func (r *Runner) Fig3b(ctx context.Context, bench string, paperSizes []uint64) (
 		return nil, err
 	}
 	res := &SweepResult{Benchmark: spec.Name}
-	res.Whole.Mix = r.wholeMix(ctx, an)
-	if res.Whole.Cache, err = r.wholeCache(ctx, an); err != nil {
+	w, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true})
+	if err != nil {
 		return nil, err
 	}
+	res.Whole.Mix, res.Whole.Cache = w.mix, w.cache
 	if res.Points, err = core.SweepSliceSize(ctx, spec, r.cfg, paperSizes, r.CacheConfig()); err != nil {
 		return nil, err
 	}
@@ -318,26 +320,15 @@ func (r *Runner) Fig7(ctx context.Context) (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		row := Fig7Row{Benchmark: spec.Name, Whole: r.wholeMix(ctx, an)}
-		pbs, err := an.Pinballs(an.Result, 0)
+		w, err := r.whole(ctx, an, wholeKinds{mix: true})
 		if err != nil {
 			return err
 		}
-		if row.Regional, err = an.SampledMix(ctx, pbs); err != nil {
-			return err
-		}
-		reduced, err := an.Result.Reduce(0.9)
+		regional, reduced, err := regionalAndReduced(ctx, an, 0, core.Tools{Mix: true})
 		if err != nil {
 			return err
 		}
-		rpbs, err := an.Pinballs(reduced, 0)
-		if err != nil {
-			return err
-		}
-		if row.Reduced, err = an.SampledMix(ctx, rpbs); err != nil {
-			return err
-		}
-		res.Rows[i] = row
+		res.Rows[i] = Fig7Row{Benchmark: spec.Name, Whole: w.mix, Regional: regional.Mix(), Reduced: reduced.Mix()}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -435,36 +426,24 @@ func (r *Runner) Fig8(ctx context.Context) (*Fig8Result, error) {
 			if err != nil {
 				return err
 			}
-			row := Fig8Row{Benchmark: spec.Name}
-			if row.Whole, err = r.wholeCache(ctx, an); err != nil {
-				return err
-			}
-			pbs, err := an.Pinballs(an.Result, 0)
+			w, err := r.whole(ctx, an, wholeKinds{cache: true})
 			if err != nil {
 				return err
 			}
-			if row.Regional, err = an.SampledCache(ctx, pbs, hier); err != nil {
-				return err
-			}
-			reduced, err := an.Result.Reduce(0.9)
+			regional, reduced, err := regionalAndReduced(ctx, an, 0, core.Tools{Cache: &hier})
 			if err != nil {
-				return err
-			}
-			rpbs, err := an.Pinballs(reduced, 0)
-			if err != nil {
-				return err
-			}
-			if row.Reduced, err = an.SampledCache(ctx, rpbs, hier); err != nil {
 				return err
 			}
 			wpbs, err := an.Pinballs(an.Result, DefaultWarmupSlices)
 			if err != nil {
 				return err
 			}
-			if row.Warmup, err = an.SampledCache(ctx, wpbs, hier); err != nil {
+			warm, err := an.Measure(ctx, wpbs, core.Tools{Cache: &hier})
+			if err != nil {
 				return err
 			}
-			res.Rows[i] = row
+			res.Rows[i] = Fig8Row{Benchmark: spec.Name, Whole: w.cache,
+				Regional: regional.Cache(), Reduced: reduced.Cache(), Warmup: warm.Cache()}
 			return nil
 		}); err != nil {
 			return nil, err
@@ -586,9 +565,8 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 	// Per-benchmark sweeps run in parallel; each contributes one Fig9Point
 	// row per percentile, accumulated serially below in suite order.
 	type specSweep struct {
-		whole      core.MixProfile
-		wholeCache core.CacheProfile
-		pts        []core.PercentilePoint
+		whole wholeRun
+		pts   []core.PercentilePoint
 	}
 	sweeps := make([]specSweep, len(r.specs))
 	if err := r.forEachSpec(ctx, func(i int, spec workload.Spec) error {
@@ -596,8 +574,7 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 		if err != nil {
 			return err
 		}
-		sweeps[i].whole = r.wholeMix(ctx, an)
-		if sweeps[i].wholeCache, err = r.wholeCache(ctx, an); err != nil {
+		if sweeps[i].whole, err = r.whole(ctx, an, wholeKinds{mix: true, cache: true}); err != nil {
 			return err
 		}
 		sweeps[i].pts, err = an.PercentileSweep(ctx, percentiles, hier)
@@ -607,10 +584,10 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 	}
 	for _, sw := range sweeps {
 		for i, p := range sw.pts {
-			out[i].MixErrPct += mixAbsErrPct(p.Mix, sw.whole)
-			out[i].CacheErrPct[0] += absFinite((p.Cache.L1D - sw.wholeCache.L1D) * 100)
-			out[i].CacheErrPct[1] += absFinite((p.Cache.L2 - sw.wholeCache.L2) * 100)
-			out[i].CacheErrPct[2] += absFinite((p.Cache.L3 - sw.wholeCache.L3) * 100)
+			out[i].MixErrPct += mixAbsErrPct(p.Mix, sw.whole.mix)
+			out[i].CacheErrPct[0] += absFinite((p.Cache.L1D - sw.whole.cache.L1D) * 100)
+			out[i].CacheErrPct[1] += absFinite((p.Cache.L2 - sw.whole.cache.L2) * 100)
+			out[i].CacheErrPct[2] += absFinite((p.Cache.L3 - sw.whole.cache.L3) * 100)
 			out[i].ReplayTime += p.ReplayTime
 			out[i].Points += p.NumPoints
 		}
@@ -674,31 +651,15 @@ func (r *Runner) Fig12(ctx context.Context) (*Fig12Result, error) {
 		if err != nil {
 			return err
 		}
-		pbs, err := an.Pinballs(an.Result, DefaultWarmupSlices)
-		if err != nil {
-			return err
-		}
-		reg, err := an.SampledCPI(ctx, pbs, cfg)
-		if err != nil {
-			return err
-		}
-		reduced, err := an.Result.Reduce(0.9)
-		if err != nil {
-			return err
-		}
-		rpbs, err := an.Pinballs(reduced, DefaultWarmupSlices)
-		if err != nil {
-			return err
-		}
-		red, err := an.SampledCPI(ctx, rpbs, cfg)
+		reg, red, err := regionalAndReduced(ctx, an, DefaultWarmupSlices, core.Tools{CPI: &cfg})
 		if err != nil {
 			return err
 		}
 		res.Rows[i] = Fig12Row{
 			Benchmark:   spec.Name,
 			NativeCPI:   nat.CPI(),
-			RegionalCPI: reg.CPI,
-			ReducedCPI:  red.CPI,
+			RegionalCPI: reg.CPI().CPI,
+			ReducedCPI:  red.CPI().CPI,
 		}
 		return nil
 	}); err != nil {
@@ -731,6 +692,26 @@ func (r *Runner) Fig12(ctx context.Context) (*Fig12Result, error) {
 }
 
 // ---------------------------------------------------------------- helpers --
+
+// regionalAndReduced measures the Regional Run (every simulation point,
+// warm-up warmupSlices) and serves the Reduced Regional Run — the 90th
+// percentile of the weight — by re-weighting it: the reduced points are a
+// subset of the regional ones, so they are not replayed again.
+func regionalAndReduced(ctx context.Context, an *core.Analysis, warmupSlices int, tools core.Tools) (regional, reduced core.Measurement, err error) {
+	pbs, err := an.Pinballs(an.Result, warmupSlices)
+	if err != nil {
+		return regional, reduced, err
+	}
+	if regional, err = an.Measure(ctx, pbs, tools); err != nil {
+		return regional, reduced, err
+	}
+	res, err := an.Result.Reduce(0.9)
+	if err != nil {
+		return regional, reduced, err
+	}
+	reduced, err = regional.Reweight(res)
+	return regional, reduced, err
+}
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 

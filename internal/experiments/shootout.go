@@ -93,12 +93,7 @@ type shootoutObs struct {
 
 // shootoutMeasure replays one repeat's selection and scores it against the
 // whole-run ground truth.
-func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg core.Config,
-	whole struct {
-		mix core.MixProfile
-		ch  core.CacheProfile
-		cpi core.CPIProfile
-	}) (shootoutObs, error) {
+func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg core.Config, whole wholeRun) (shootoutObs, error) {
 	var o shootoutObs
 	res, err := an.SelectWith(ctx, cfg)
 	if err != nil {
@@ -108,24 +103,18 @@ func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg cor
 	if err != nil {
 		return o, err
 	}
-	mix, err := an.SampledMix(ctx, pbs)
+	hier, tcfg := r.CacheConfig(), r.TimingConfig()
+	m, err := an.Measure(ctx, pbs, core.Tools{Mix: true, Cache: &hier, CPI: &tcfg})
 	if err != nil {
 		return o, err
 	}
-	ch, err := an.SampledCache(ctx, pbs, r.CacheConfig())
-	if err != nil {
-		return o, err
-	}
-	cpi, err := an.SampledCPI(ctx, pbs, r.TimingConfig())
-	if err != nil {
-		return o, err
-	}
+	mix, ch, cpi := m.Mix(), m.Cache(), m.CPI()
 	o.points = float64(res.NumPoints())
 	o.sampledPct = 100 * float64(res.SampledInstrs()) / float64(an.TotalInstrs)
 	o.cpiErrPct = stats.RelErrorPct(cpi.CPI, whole.cpi.CPI)
-	o.l1dErrPP = 100 * stats.AbsError(ch.L1D, whole.ch.L1D)
-	o.l2ErrPP = 100 * stats.AbsError(ch.L2, whole.ch.L2)
-	o.l3ErrPP = 100 * stats.AbsError(ch.L3, whole.ch.L3)
+	o.l1dErrPP = 100 * stats.AbsError(ch.L1D, whole.cache.L1D)
+	o.l2ErrPP = 100 * stats.AbsError(ch.L2, whole.cache.L2)
+	o.l3ErrPP = 100 * stats.AbsError(ch.L3, whole.cache.L3)
 	for c := 0; c < 4; c++ {
 		o.mixErrPP += 100 * stats.AbsError(mix.Fractions[c], whole.mix.Fractions[c]) / 4
 	}
@@ -153,16 +142,8 @@ func (r *Runner) Shootout(ctx context.Context) (*ShootoutResult, error) {
 		if err != nil {
 			return err
 		}
-		var whole struct {
-			mix core.MixProfile
-			ch  core.CacheProfile
-			cpi core.CPIProfile
-		}
-		whole.mix = r.wholeMix(ctx, an)
-		if whole.ch, err = r.wholeCache(ctx, an); err != nil {
-			return err
-		}
-		if whole.cpi, err = r.wholeCPI(ctx, an); err != nil {
+		whole, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true, cpi: true})
+		if err != nil {
 			return err
 		}
 		grid := make([][]shootoutObs, len(names))

@@ -126,11 +126,8 @@ type ReplayResult struct {
 // time". makeTools is called once per pinball to produce that replay's
 // private tool set (tools are stateful and must not be shared); it receives
 // the pinball's index in pbs. Results preserve input order. workers <= 0
-// uses GOMAXPROCS.
-//
-// Replay state is sharded: each worker owns one long-lived Replayer, so the
-// per-pinball cost is restore + run with no executor or engine construction
-// in the loop.
+// uses GOMAXPROCS. It is ReplaySuite over one job, traced as one "replay"
+// span per benchmark.
 //
 // If ctx is cancelled mid-run, pinballs not yet dispatched are returned
 // with Err set to ctx.Err(); already-running replays complete normally.
@@ -138,32 +135,7 @@ func ReplayAll(ctx context.Context, p *program.Program, pbs []*Pinball, workers 
 	ctx, span := obs.Start(ctx, "replay",
 		obs.String("bench", p.Name), obs.Int("pinballs", len(pbs)))
 	defer span.End()
-
-	results := make([]ReplayResult, len(pbs))
-	ran := make([]bool, len(pbs))
-	replayers := make([]*Replayer, sched.Workers(workers))
-	err := sched.ForEachSharded(ctx, workers, len(pbs), func(w, i int) error {
-		r := replayers[w]
-		if r == nil {
-			r = NewReplayer(p)
-			replayers[w] = r
-		}
-		tools := makeTools(i)
-		n, err := r.Replay(pbs[i], tools...)
-		results[i] = ReplayResult{Pinball: pbs[i], Executed: n, Err: err}
-		ran[i] = true
-		replayCounter.Add(1)
-		return nil
-	})
-	if err != nil {
-		// Cancelled: mark the slots that never ran so callers see why.
-		for i := range results {
-			if !ran[i] {
-				results[i] = ReplayResult{Pinball: pbs[i], Err: err}
-			}
-		}
-	}
-	return results
+	return replayJobs(ctx, []SuiteJob{{Program: p, Pinballs: pbs, MakeTools: makeTools}}, workers)[0]
 }
 
 // SuiteJob is one benchmark's share of a whole-suite replay: its program,
@@ -179,8 +151,9 @@ type SuiteJob struct {
 // whole-suite regional replay as a single flat work list, rather than
 // per-benchmark fan-out that leaves workers idle at each benchmark's tail.
 // Results are indexed [job][pinball], preserving input order. Each worker
-// keeps one Replayer per program it encounters, so cross-benchmark
-// scheduling still pays no per-pinball setup. workers <= 0 uses GOMAXPROCS.
+// keeps one Replayer per program it encounters, so the per-pinball cost is
+// restore + run with no executor or engine construction in the loop.
+// workers <= 0 uses GOMAXPROCS.
 //
 // If ctx is cancelled mid-run, pinballs not yet dispatched carry ctx.Err(),
 // exactly as in ReplayAll.
@@ -192,12 +165,16 @@ func ReplaySuite(ctx context.Context, jobs []SuiteJob, workers int) [][]ReplayRe
 	ctx, span := obs.Start(ctx, "replay.suite",
 		obs.Int("jobs", len(jobs)), obs.Int("pinballs", total))
 	defer span.End()
+	return replayJobs(ctx, jobs, workers)
+}
 
+// replayJobs is the one sharded replay loop behind ReplayAll and
+// ReplaySuite.
+func replayJobs(ctx context.Context, jobs []SuiteJob, workers int) [][]ReplayResult {
 	results := make([][]ReplayResult, len(jobs))
 	ran := make([][]bool, len(jobs))
 	// Flat index -> (job, local pinball index), in input order.
-	jobOf := make([]int, 0, total)
-	locOf := make([]int, 0, total)
+	var jobOf, locOf []int
 	for j, job := range jobs {
 		results[j] = make([]ReplayResult, len(job.Pinballs))
 		ran[j] = make([]bool, len(job.Pinballs))
@@ -208,7 +185,7 @@ func ReplaySuite(ctx context.Context, jobs []SuiteJob, workers int) [][]ReplayRe
 	}
 
 	replayers := make([][]*Replayer, sched.Workers(workers))
-	err := sched.ForEachSharded(ctx, workers, total, func(w, flat int) error {
+	err := sched.ForEachSharded(ctx, workers, len(jobOf), func(w, flat int) error {
 		j, i := jobOf[flat], locOf[flat]
 		job := &jobs[j]
 		if replayers[w] == nil {
