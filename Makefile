@@ -1,20 +1,25 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet lint fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
+.PHONY: check vet e2evet lint fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
 
-## check: the pre-commit gate — gofmt, vet, the project's own static
-## analysis (speclint), build, the full test suite, the determinism tests
-## under -race, a single-iteration pass over every benchmark (including the
-## obs overhead guard), a warm-cache smoke run of the persistent store, a
-## cross-selector shoot-out smoke, the daemon smoke (dedup, streaming,
-## byte-identity, SIGTERM drain), and the performance-regression gate
-## against the committed BENCH_*.json baseline (skipped on hosts without
-## one).
-check: fmtcheck vet lint build test racesmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
+## check: the pre-commit gate — gofmt, vet (root and e2ebench modules),
+## the project's own static analysis (speclint), build, the full test
+## suite, the determinism tests under -race, a single-iteration pass over
+## every benchmark (including the obs overhead guard), a warm-cache smoke
+## run of the persistent store, a cross-selector shoot-out smoke, the
+## daemon smoke (dedup, streaming, byte-identity, SIGTERM drain), and the
+## performance-regression gate against the committed BENCH_*.json baseline
+## (skipped on hosts without one).
+check: fmtcheck vet e2evet lint build test racesmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
 
 vet:
 	$(GO) vet ./...
+
+## e2evet: vet the nested e2ebench module, which the root `go vet ./...`
+## stops short of at its module boundary.
+e2evet:
+	cd e2ebench && $(GO) vet ./...
 
 ## lint: the project-specific analyzers (see DESIGN.md §9, §14) —
 ## determinism, cancellation, cache-key and concurrency invariants the
@@ -46,8 +51,8 @@ racesmoke:
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched
 	$(GO) test -race -run 'TestJSONLSinkConcurrentJobsDoNotTearLines|TestScopedSinksReceiveOnlyTheirJob|TestHistogramConcurrentObserve' ./internal/obs
-	$(GO) test -race -run 'TestCollectorRingAndProbes|TestExpositionParsesAndIsCoherent' ./internal/telemetry
-	$(GO) test -race -run 'TestLoadSmoke|TestDedupIdenticalConfigs|TestAdmissionAndLoadShedding|TestTraceIDPropagation|TestStatsHistoryEndpoint' ./internal/serve
+	$(GO) test -race -run 'TestCollectorRunsProbes|TestExpositionParsesAndIsCoherent' ./internal/telemetry
+	$(GO) test -race -run 'TestLoadSmoke|TestDedupIdenticalConfigs|TestAdmissionAndLoadShedding|TestTraceIDPropagation' ./internal/serve
 	$(GO) test -race -run 'TestSelectorDeterminism|TestSelectorInvariants' ./internal/selector
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.

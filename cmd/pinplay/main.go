@@ -237,7 +237,7 @@ func replaySuite(ctx context.Context, paths []string, scaleName string, workers 
 	}
 
 	results := pinball.ReplaySuite(ctx, jobs, workers)
-	// Flatten back to input order for printing.
+	// Scatter the per-program results back to input order for printing.
 	flat := make([]pinball.ReplayResult, len(pbs))
 	for g, grp := range groups {
 		for j, i := range grp.idx {

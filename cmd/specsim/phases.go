@@ -12,8 +12,6 @@ import (
 	"specsampling/internal/cli"
 	"specsampling/internal/core"
 	"specsampling/internal/obs"
-	"specsampling/internal/pin"
-	"specsampling/internal/pinball"
 	"specsampling/internal/selector"
 	"specsampling/internal/store"
 	"specsampling/internal/textplot"
@@ -80,7 +78,8 @@ func phasesCmd(ctx context.Context, args []string) error {
 
 	// Re-assign every slice to its nearest simulation-point cluster by
 	// projecting its BBV the same way the clustering did.
-	proj, err := bbv.NewProjector(an.Prog.NumBlocks(), 15, 2017)
+	echo := an.Result.Config
+	proj, err := bbv.NewProjector(an.Prog.NumBlocks(), echo.ProjectDims, echo.Seed)
 	if err != nil {
 		return err
 	}
@@ -132,30 +131,23 @@ func phasesCmd(ctx context.Context, args []string) error {
 		spec.Name, scale.Name, len(an.Slices), an.Result.NumPoints())
 	fmt.Printf("timeline (execution left to right, letter = phase):\n%s\n\n", line)
 
-	// Per-point stats: weight + CPI of the representative region. The
-	// regions are independent, so replay them through the sharded parallel
-	// path; the table is assembled in point order afterwards.
+	// Per-point stats: weight + CPI of the representative region, from one
+	// measurement pass over the regional pinballs.
 	cfg := timing.ScaledConfig(timing.TableIIIConfig(), scale.CacheDivs)
-	pbs := make([]*pinball.Pinball, len(an.Result.Points))
-	cores := make([]*timing.Core, len(an.Result.Points))
-	for i, pt := range an.Result.Points {
-		pbs[i] = pinball.NewRegional(an.Prog.Name, scale.Name, i, pt.Start, pt.Len, pt.Weight)
-		if cores[i], err = timing.NewCore(cfg); err != nil {
-			return err
-		}
+	pbs, err := an.Pinballs(an.Result, 0)
+	if err != nil {
+		return err
 	}
-	results := pinball.ReplayAll(ctx, an.Prog, pbs, *workers, func(i int) []pin.Tool {
-		return []pin.Tool{cores[i]}
-	})
+	m, err := an.Measure(ctx, pbs, core.Tools{CPI: &cfg})
+	if err != nil {
+		return err
+	}
 	t := textplot.NewTable("Phase", "Weight", "Slice", "CPI", "Share")
 	for i, pt := range an.Result.Points {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
 		t.AddRow(string(alphabet[i%len(alphabet)]),
 			fmt.Sprintf("%.4f", pt.Weight),
 			fmt.Sprint(pt.SliceIndex),
-			fmt.Sprintf("%.3f", cores[i].CPI()),
+			fmt.Sprintf("%.3f", m.Regions[i].CPI.CPI),
 			textplot.Bar(pt.Weight, 1, 30))
 	}
 	fmt.Print(t.String())

@@ -19,11 +19,10 @@
 // one computation; overload answers 503 with Retry-After.
 //
 // Telemetry: GET /metrics is a Prometheus text exposition of every counter,
-// gauge and latency histogram; GET /v1/stats/history is the last ten
-// minutes of runtime/daemon gauges sampled at 1 Hz; every response carries
-// an X-Trace-Id. -access-log writes one JSON line per request, -debug-addr
-// exposes net/http/pprof on a separate (private) listener, and
-// -no-telemetry turns the whole layer off.
+// gauge and latency histogram, with the runtime and daemon gauges refreshed
+// every -stats-interval; every response carries an X-Trace-Id. -access-log
+// writes one JSON line per request, -debug-addr exposes net/http/pprof on a
+// separate (private) listener, and -no-telemetry turns the whole layer off.
 //
 // Shutdown: SIGTERM (or SIGINT) stops accepting work and drains in-flight
 // jobs so every completed stage reaches the store; a second signal or the
@@ -91,9 +90,6 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 	cacheDir := fs.String("cache-dir", os.Getenv("SPECSIM_CACHE"),
 		"persistent artifact cache directory shared by every job "+
 			"(required; env SPECSIM_CACHE sets the default)")
-	shards := fs.Int("shards", 0,
-		"store shard-directory count for a newly created cache (0 = default; "+
-			"an existing cache keeps the count it was created with)")
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"worker goroutines inside each job's pipeline (results are identical for any value; <= 0 means GOMAXPROCS)")
 	jobWorkers := fs.Int("job-workers", 2, "jobs executing concurrently")
@@ -108,8 +104,7 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 		`access-log destination: a file path (appended), "-" for stderr, empty for off`)
 	noTelemetry := fs.Bool("no-telemetry", false,
 		"disable request telemetry, /metrics content, access logs and the stats collector")
-	statsInterval := fs.Duration("stats-interval", time.Second, "self-monitoring sampling period")
-	statsHistory := fs.Int("stats-history", 600, "snapshots retained for /v1/stats/history")
+	statsInterval := fs.Duration("stats-interval", time.Second, "self-monitoring gauge refresh period")
 	obsFlags := obs.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -121,7 +116,7 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 		fs.Usage()
 		return cli.Usagef("missing -cache-dir (or env SPECSIM_CACHE): the daemon serves every client from one persistent artifact store")
 	}
-	st, err := store.OpenSharded(*cacheDir, *shards)
+	st, err := store.Open(*cacheDir)
 	if err != nil {
 		return err
 	}
@@ -163,7 +158,6 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 		AccessLog:        accessSink,
 		DisableTelemetry: *noTelemetry,
 		StatsInterval:    *statsInterval,
-		StatsHistory:     *statsHistory,
 	})
 	if err != nil {
 		return err
@@ -203,8 +197,7 @@ func run(ctx context.Context, hardCancel context.CancelFunc, sig <-chan os.Signa
 	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "specsimd: listening on %s (store %s, %d shards)\n",
-		ln.Addr(), st.Dir(), st.Shards())
+	fmt.Fprintf(os.Stderr, "specsimd: listening on %s (store %s)\n", ln.Addr(), st.Dir())
 
 	select {
 	case err := <-serveErr:

@@ -11,7 +11,7 @@ import (
 // call site. Metrics are flat strings interned at init time across many
 // packages, so nothing structural stops "Serve.Requests" and
 // "serve.requests" coexisting as two different series; the Prometheus
-// exposition, the stats-history flattener and the Makefile smokes all key
+// exposition, the e2ebench scrapers and the Makefile smokes all key
 // on exact names. The convention is subsystem.noun or subsystem.noun.verb:
 // two or three lowercase dotted segments of [a-z][a-z0-9_]*. A label
 // suffix in braces (serve.http.requests{route="/v1/jobs"}) is stripped

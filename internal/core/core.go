@@ -341,9 +341,10 @@ func (a *Analysis) VarianceSweep(ctx context.Context, ks []int) (map[int]float64
 	return simpoint.VarianceSweep(a.Slices, ks, selector.SimPointParams(a.Config.selectorConfig()))
 }
 
-// WholePinball returns the whole-execution checkpoint.
+// WholePinball returns the whole-execution checkpoint, sized to the
+// measured whole-run instruction count so its replay reaches program end.
 func (a *Analysis) WholePinball() *pinball.Pinball {
-	return pinball.NewWhole(a.Prog, a.Config.Scale.Name)
+	return pinball.NewWhole(a.Prog, a.Config.Scale.Name, a.TotalInstrs)
 }
 
 // Pinballs cuts regional pinballs for the given SimPoint result (either

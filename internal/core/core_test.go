@@ -9,6 +9,7 @@ import (
 	"specsampling/internal/cache"
 	"specsampling/internal/native"
 	"specsampling/internal/pin"
+	"specsampling/internal/pinball"
 	"specsampling/internal/pintool"
 	"specsampling/internal/simpoint"
 	"specsampling/internal/timing"
@@ -70,6 +71,27 @@ func TestPinballsMatchPoints(t *testing.T) {
 		if pb.HasWarmup {
 			t.Errorf("pinball %d has unexpected warm-up", i)
 		}
+	}
+}
+
+// TestWholePinballReplaysToEnd: replaying the whole-execution pinball
+// executes exactly what a run to program end does. Executed counts overshoot
+// the nominal Program.TotalInstrs by up to one block per segment, so a
+// pinball sized to the nominal count would stop short.
+func TestWholePinballReplaysToEnd(t *testing.T) {
+	for _, name := range []string{"505.mcf_r", "541.leela_r", "519.lbm_r"} {
+		t.Run(name, func(t *testing.T) {
+			an := analyzeBench(t, name)
+			want := pin.NewEngine(an.Prog).RunToEnd()
+			ic := pintool.NewInsCount()
+			n, err := pinball.Replay(an.Prog, an.WholePinball(), ic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != want || ic.Instrs != want {
+				t.Errorf("whole pinball replayed %d instructions (counter %d), run to end executes %d", n, ic.Instrs, want)
+			}
+		})
 	}
 }
 

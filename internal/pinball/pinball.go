@@ -77,10 +77,11 @@ type Pinball struct {
 	WarmupLen uint64
 }
 
-// NewWhole builds the whole-execution pinball of a finalized program:
-// its start state is the program entry and its length the nominal
-// instruction count (replay stops at program end regardless).
-func NewWhole(p *program.Program, scale string) *Pinball {
+// NewWhole builds the whole-execution pinball of a finalized program: its
+// start state is the program entry and its length the measured whole-run
+// instruction count, which exceeds the nominal Program.TotalInstrs by the
+// block overshoot at each segment end.
+func NewWhole(p *program.Program, scale string, length uint64) *Pinball {
 	exec := program.NewExecutor(p)
 	return &Pinball{
 		Benchmark: p.Name,
@@ -88,7 +89,7 @@ func NewWhole(p *program.Program, scale string) *Pinball {
 		Kind:      Whole,
 		Region:    -1,
 		Start:     exec.State(),
-		Len:       p.TotalInstrs(),
+		Len:       length,
 		Weight:    1,
 	}
 }

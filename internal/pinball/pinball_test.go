@@ -124,7 +124,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestSaveLoad(t *testing.T) {
 	p := testProgram(t)
 	st, _ := capture(t, p, 2000)
-	pb := NewWhole(p, "small")
+	pb := NewWhole(p, "small", p.TotalInstrs())
 	_ = st
 	path := filepath.Join(t.TempDir(), "whole.pb")
 	if err := pb.Save(path); err != nil {

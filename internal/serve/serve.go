@@ -19,14 +19,13 @@
 //	GET  /v1/jobs/{id}/events   live JSONL progress stream
 //	GET  /v1/selectors          registered region-selection backends
 //	GET  /v1/stats              queue depth and per-state job counts
-//	GET  /v1/stats/history      self-monitoring snapshot ring (JSON)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               liveness (503 once draining)
 //
 // Every route carries request telemetry (see telemetry.go): a trace id per
 // request, per-route latency histograms and status-class counters, and
-// optional structured access logs. A background collector samples runtime
-// and daemon gauges into the /v1/stats/history ring.
+// optional structured access logs. A background collector refreshes the
+// runtime and daemon gauges that /metrics exposes.
 package serve
 
 import (
@@ -82,14 +81,11 @@ type Config struct {
 	// shut down); the Server only writes to it.
 	AccessLog *obs.AccessSink
 	// DisableTelemetry turns off request instrumentation, access logging
-	// and the self-monitoring collector. /metrics and /v1/stats/history
-	// stay mounted but stop advancing.
+	// and the self-monitoring collector. /metrics stays mounted but its
+	// request series and self-monitoring gauges stop advancing.
 	DisableTelemetry bool
-	// StatsInterval is the self-monitoring sampling period (default 1s).
+	// StatsInterval is the self-monitoring probe period (default 1s).
 	StatsInterval time.Duration
-	// StatsHistory is how many snapshots /v1/stats/history retains
-	// (default 600 — ten minutes at the default interval).
-	StatsHistory int
 }
 
 func (c Config) normalize() Config {
@@ -107,9 +103,6 @@ func (c Config) normalize() Config {
 	}
 	if c.StatsInterval <= 0 {
 		c.StatsInterval = time.Second
-	}
-	if c.StatsHistory <= 0 {
-		c.StatsHistory = 600
 	}
 	return c
 }
@@ -153,7 +146,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	if !cfg.DisableTelemetry {
 		s.access = cfg.AccessLog
-		s.collector = telemetry.NewCollector(cfg.StatsInterval, cfg.StatsHistory,
+		s.collector = telemetry.NewCollector(cfg.StatsInterval,
 			telemetry.RuntimeProbe, store.Probe, s.probe)
 		s.collector.Start()
 	}
@@ -185,7 +178,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("GET", "/v1/jobs/{id}/events", s.handleEvents))
 	mux.HandleFunc("GET /v1/selectors", s.instrument("GET", "/v1/selectors", s.handleSelectors))
 	mux.HandleFunc("GET /v1/stats", s.instrument("GET", "/v1/stats", s.handleStats))
-	mux.HandleFunc("GET /v1/stats/history", s.instrument("GET", "/v1/stats/history", s.handleStatsHistory))
 	mux.HandleFunc("GET /metrics", s.instrument("GET", "/metrics", metrics.ServeHTTP))
 	mux.HandleFunc("GET /healthz", s.instrument("GET", "/healthz", s.handleHealthz))
 	return mux
@@ -208,24 +200,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, body)
 	}
-}
-
-// statsHistoryBody is the GET /v1/stats/history response: the collector's
-// snapshot ring, oldest first.
-type statsHistoryBody struct {
-	IntervalMs int64                `json:"interval_ms"`
-	History    []telemetry.Snapshot `json:"history"`
-}
-
-func (s *Server) handleStatsHistory(w http.ResponseWriter, r *http.Request) {
-	body := statsHistoryBody{
-		IntervalMs: s.cfg.StatsInterval.Milliseconds(),
-		History:    []telemetry.Snapshot{},
-	}
-	if s.collector != nil {
-		body.History = s.collector.History()
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // errorBody is every non-2xx response's JSON shape.
@@ -529,7 +503,6 @@ type StatsBody struct {
 	Jobs       map[string]int `json:"jobs"`
 	QueueDepth int            `json:"queue_depth"`
 	Clients    int            `json:"clients"`
-	Shards     int            `json:"store_shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -550,6 +523,5 @@ func (s *Server) stats() StatsBody {
 		Jobs:       states,
 		QueueDepth: s.queue.Depth(),
 		Clients:    len(s.perClient),
-		Shards:     s.cfg.Store.Shards(),
 	}
 }

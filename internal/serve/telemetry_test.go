@@ -176,6 +176,16 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	if errs := telemetry.CheckExposition(before); len(errs) > 0 {
 		t.Fatalf("baseline scrape incoherent: %v", errs)
 	}
+	// The collector ran its probes at start-up, so the runtime and daemon
+	// gauges are in the very first scrape.
+	if v := seriesValue(before, "runtime_goroutines"); v < 1 {
+		t.Errorf("runtime_goroutines = %g, want >= 1", v)
+	}
+	for _, g := range []string{"serve_jobs_inflight", "serve_events_dropped"} {
+		if v := seriesValue(before, g); v < 0 {
+			t.Errorf("%s missing from scrape", g)
+		}
+	}
 
 	_, sub := postJob(t, hts.URL, "", JobRequest{Run: "tableI", Scale: "small"})
 	waitDone(t, hts.URL, sub.ID)
@@ -201,59 +211,6 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	}
 	if v := seriesValue(after, "serve_submit"); v < 1 {
 		t.Errorf("serve_submit = %g, want >= 1", v)
-	}
-}
-
-// TestStatsHistoryEndpoint: the collector ring is served as JSON, oldest
-// first, and carries both runtime and daemon gauges.
-func TestStatsHistoryEndpoint(t *testing.T) {
-	_, hts := newTestServer(t, context.Background(), Config{
-		StatsInterval: 5 * time.Millisecond,
-		StatsHistory:  16,
-	})
-	var body struct {
-		IntervalMs int64                `json:"interval_ms"`
-		History    []telemetry.Snapshot `json:"history"`
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(hts.URL + "/v1/stats/history")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/stats/history = %d, want 200", resp.StatusCode)
-		}
-		body.History = nil
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(body.History) >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if body.IntervalMs != 5 {
-		t.Errorf("interval_ms = %d, want 5", body.IntervalMs)
-	}
-	if len(body.History) < 2 {
-		t.Fatalf("history length = %d, want >= 2 snapshots", len(body.History))
-	}
-	if !sort.SliceIsSorted(body.History, func(i, j int) bool {
-		return body.History[i].TimeMs < body.History[j].TimeMs
-	}) {
-		t.Error("history snapshots not in time order")
-	}
-	last := body.History[len(body.History)-1].Metrics
-	if last["runtime.goroutines"] < 1 {
-		t.Errorf("runtime.goroutines = %g, want >= 1", last["runtime.goroutines"])
-	}
-	if _, ok := last["serve.jobs.inflight"]; !ok {
-		t.Error("serve.jobs.inflight gauge missing from snapshots")
-	}
-	if _, ok := last["serve.events.dropped"]; !ok {
-		t.Error("serve.events.dropped gauge missing from snapshots")
 	}
 }
 
@@ -315,7 +272,7 @@ func TestAccessLogRecords(t *testing.T) {
 }
 
 // TestTelemetryDisabled: the opt-out restores the bare request path — no
-// trace header, no collector, empty history.
+// trace header, no collector.
 func TestTelemetryDisabled(t *testing.T) {
 	srv, hts := newTestServer(t, context.Background(), Config{DisableTelemetry: true})
 	if srv.collector != nil {
@@ -332,20 +289,8 @@ func TestTelemetryDisabled(t *testing.T) {
 	if got := resp.Header.Get("X-Trace-Id"); got != "" {
 		t.Errorf("X-Trace-Id = %q with telemetry disabled, want none", got)
 	}
-	hr, err := http.Get(hts.URL + "/v1/stats/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var body struct {
-		History []telemetry.Snapshot `json:"history"`
-	}
-	if err := json.NewDecoder(hr.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.History) != 0 {
-		t.Errorf("history has %d snapshots with telemetry disabled, want 0", len(body.History))
-	}
+	// /metrics stays mounted; only its request series stop advancing.
+	scrapeMetrics(t, hts.URL)
 }
 
 // syncBuffer is a mutex-guarded bytes.Buffer: handlers log concurrently.

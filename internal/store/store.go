@@ -30,16 +30,12 @@
 // orphans older than an hour (young ones may belong to a live writer
 // sharing the directory), so a crashed run never accretes garbage.
 //
-// The on-disk layout is sharded: within each kind directory, entries fan
-// out across N shard subdirectories (s00/, s01/, …) selected by the key
-// digest, so a daemon hammering one artifact kind from hundreds of
-// concurrent jobs spreads directory-entry insertion (and the rename+fsync
-// dance) across N directories instead of serialising on one. The shard
-// count is pinned by a marker file at the store root the first time a
-// directory is opened — reopening with a different count keeps the pinned
-// layout, so entries never silently change addresses. Stores written before
-// sharding existed keep working: a read that misses its shard falls back to
-// the legacy flat path and, on a hit, migrates the entry into its shard.
+// The on-disk layout is flat: one directory per artifact kind, one file per
+// entry, <dir>/<kind>/<bench>-<digest>.art. The traffic is a few hundred
+// puts per suite pass and warm-store gets, so no directory is ever
+// contended and the layout needs no fan-out. Entries an older sharded
+// layout left in per-kind sNN/ subdirectories are never read again, like any
+// other structurally invalidated entry.
 package store
 
 import (
@@ -49,7 +45,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash/crc64"
 	"io/fs"
@@ -76,16 +71,6 @@ const (
 // quarantineDir is where corrupt entries are moved, relative to the root.
 const quarantineDir = "quarantine"
 
-// Sharding: entries fan out across shard subdirectories inside each kind
-// directory. DefaultShards is used when a store directory is first opened
-// without an explicit count; shardsMarker pins whatever count the directory
-// was created with, so every later open agrees on the layout.
-const (
-	DefaultShards = 16
-	MaxShards     = 256
-	shardsMarker  = "shards"
-)
-
 // tempMaxAge is how old an orphaned .tmp-* file must be before Open reaps
 // it. Younger temp files may belong to a writer in another process sharing
 // the directory, so they are left alone.
@@ -102,14 +87,13 @@ var (
 	corruptCounter  = obs.GetCounter("store.corrupt")
 	writeCounter    = obs.GetCounter("store.write")
 	writeErrCounter = obs.GetCounter("store.write_error")
-	migrateCounter  = obs.GetCounter("store.migrate")
 	reapCounter     = obs.GetCounter("store.reap")
 )
 
 // hitRatioGauge is the derived cache-health gauge Probe publishes: hits
-// per thousand reads. A gauge (not a live computation) so scrapes and
-// stats history see the value without re-deriving it, and in permille
-// because obs gauges are integral.
+// per thousand reads. A gauge (not a live computation) so scrapes see the
+// value without re-deriving it, and in permille because obs gauges are
+// integral.
 var hitRatioGauge = obs.GetGauge("store.hit_ratio_permille")
 
 // Probe publishes the hit-ratio gauge from the process-wide hit/miss
@@ -169,89 +153,21 @@ func sanitize(s string) string {
 // valid and behaves as an always-miss, never-store cache, so pipeline code
 // threads it through unconditionally.
 type Store struct {
-	dir    string
-	shards int
+	dir string
 }
 
-// Open creates (if needed) and opens the store rooted at dir with the
-// directory's pinned shard count (DefaultShards for a new directory).
+// Open creates (if needed) and opens the store rooted at dir, reaping
+// orphaned temp files left by crashed writers.
 func Open(dir string) (*Store, error) {
-	return OpenSharded(dir, 0)
-}
-
-// OpenSharded opens the store rooted at dir, creating it with the given
-// shard count if the directory is new (shards <= 0 means DefaultShards,
-// values above MaxShards are clamped). A directory that has been opened
-// before keeps the shard count it was created with — the marker file at the
-// root wins over the argument — because entries are addressed by shard and
-// must never move when a different caller picks a different number.
-func OpenSharded(dir string, shards int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty cache directory")
 	}
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	pinned, err := pinShards(dir, shards)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, shards: pinned}
+	s := &Store{dir: dir}
 	s.reapTemps()
 	return s, nil
-}
-
-// pinShards resolves the directory's shard count: the marker file when one
-// exists, otherwise the requested count, which is then published atomically
-// (temp file + link) so every open — including two racing first-opens —
-// agrees on the count actually on disk.
-func pinShards(dir string, requested int) (int, error) {
-	return pinShardsAt(filepath.Join(dir, shardsMarker), requested)
-}
-
-func pinShardsAt(marker string, requested int) (int, error) {
-	for attempt := 0; ; attempt++ {
-		if data, err := os.ReadFile(marker); err == nil {
-			var n int
-			if _, serr := fmt.Sscanf(strings.TrimSpace(string(data)), "%d", &n); serr == nil && n >= 1 && n <= MaxShards {
-				return n, nil
-			}
-			// An unreadable marker means the layout is unknown; refuse rather
-			// than guess and strand every existing entry in the wrong shard.
-			return 0, fmt.Errorf("store: corrupt shard marker %s: %q", marker, data)
-		}
-		tmp, err := os.CreateTemp(filepath.Dir(marker), ".tmp-")
-		if err != nil {
-			return 0, fmt.Errorf("store: pin shards: %w", err)
-		}
-		_, werr := fmt.Fprintf(tmp, "%d\n", requested)
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			os.Remove(tmp.Name())
-			return 0, fmt.Errorf("store: pin shards: %w", werr)
-		}
-		// Publish via link(2), not rename: link fails with EEXIST when a
-		// marker already landed, so when two first-opens race exactly one
-		// count ever reaches disk — rename's last-writer-wins would let both
-		// openers return different counts while one marker silently replaced
-		// the other. The loser loops once and reads the winner's marker.
-		lerr := os.Link(tmp.Name(), marker)
-		os.Remove(tmp.Name())
-		if lerr == nil {
-			return requested, nil
-		}
-		if !errors.Is(lerr, fs.ErrExist) || attempt > 0 {
-			return 0, fmt.Errorf("store: pin shards: %w", lerr)
-		}
-	}
 }
 
 // Dir returns the store's root directory ("" for a nil store).
@@ -262,46 +178,8 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Shards returns the store's pinned shard count (0 for a nil store).
-func (s *Store) Shards() int {
-	if s == nil {
-		return 0
-	}
-	return s.shards
-}
-
-// shardDir names the shard subdirectory a digest lands in: the digest's
-// first byte modulo the shard count, so entries spread uniformly and the
-// address is a pure function of the key.
-func (s *Store) shardDir(digest string) string {
-	v := hexByte(digest)
-	return fmt.Sprintf("s%02x", v%s.shards)
-}
-
-// hexByte decodes the first two hex characters of a digest.
-func hexByte(digest string) int {
-	v := 0
-	for i := 0; i < 2 && i < len(digest); i++ {
-		c := digest[i]
-		switch {
-		case c >= '0' && c <= '9':
-			v = v<<4 | int(c-'0')
-		case c >= 'a' && c <= 'f':
-			v = v<<4 | int(c-'a'+10)
-		}
-	}
-	return v
-}
-
-// path is the artifact's final on-disk location (sharded layout).
+// path is the artifact's final on-disk location.
 func (s *Store) path(k Key) string {
-	d := k.digest()
-	return filepath.Join(s.dir, sanitize(k.Kind), s.shardDir(d), sanitize(k.Bench)+"-"+d+".art")
-}
-
-// legacyPath is where a pre-sharding store kept the artifact: directly in
-// the kind directory. Reads fall back to it; writes never target it.
-func (s *Store) legacyPath(k Key) string {
 	return filepath.Join(s.dir, sanitize(k.Kind), sanitize(k.Bench)+"-"+k.digest()+".art")
 }
 
@@ -339,19 +217,13 @@ func (s *Store) Get(ctx context.Context, key Key, v interface{}) bool {
 		obs.String("kind", key.Kind), obs.String("bench", key.Bench))
 	defer span.End()
 	path := s.path(key)
-	legacy := false
 	data, err := os.ReadFile(path)
 	if err != nil {
-		// Sharded miss: fall back to the flat pre-sharding location. Any
-		// read error other than not-exist is treated like a miss either way —
-		// the artifact is recomputable.
-		path = s.legacyPath(key)
-		if data, err = os.ReadFile(path); err != nil {
-			missCounter.Add(1)
-			span.Annotate(obs.String("outcome", "miss"))
-			return false
-		}
-		legacy = true
+		// Any read error, not-exist or otherwise, is a miss: the artifact is
+		// recomputable.
+		missCounter.Add(1)
+		span.Annotate(obs.String("outcome", "miss"))
+		return false
 	}
 	payload, err := checkEnvelope(data)
 	if err == nil {
@@ -366,26 +238,9 @@ func (s *Store) Get(ctx context.Context, key Key, v interface{}) bool {
 		span.Annotate(obs.String("outcome", "corrupt"))
 		return false
 	}
-	if legacy {
-		s.migrate(key)
-	}
 	hitCounter.Add(1)
 	span.Annotate(obs.String("outcome", "hit"))
 	return true
-}
-
-// migrate moves a legacy flat entry into its shard, so the fallback read
-// happens once per entry rather than forever. Best effort: the entry was
-// already decoded, so a failed rename only costs the next read a fallback.
-func (s *Store) migrate(key Key) {
-	dst := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return
-	}
-	if err := os.Rename(s.legacyPath(key), dst); err == nil {
-		migrateCounter.Add(1)
-		syncDir(filepath.Dir(dst))
-	}
 }
 
 // checkEnvelope validates the length+checksum header and returns the

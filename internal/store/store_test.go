@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"specsampling/internal/obs"
@@ -269,39 +268,5 @@ func TestFlags(t *testing.T) {
 	f.Dir = "" // simulate no flag, no env
 	if s, err := f.Open(); err != nil || s != nil {
 		t.Fatalf("empty dir did not disable the store (store=%v err=%v)", s, err)
-	}
-}
-
-// TestPinShardsConcurrentFirstOpen: regression for the first-open race where
-// two openers racing to pin a fresh directory with different shard counts
-// each returned their own requested count while the last marker write won on
-// disk — briefly addressing entries under different layouts. Every opener
-// must return the count that actually landed in the marker.
-func TestPinShardsConcurrentFirstOpen(t *testing.T) {
-	marker := filepath.Join(t.TempDir(), shardsMarker)
-	const openers = 8
-	got := make([]int, openers)
-	var wg sync.WaitGroup
-	for i := 0; i < openers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n, err := pinShardsAt(marker, i+1)
-			if err != nil {
-				t.Errorf("opener %d: %v", i, err)
-				return
-			}
-			got[i] = n
-		}(i)
-	}
-	wg.Wait()
-	onDisk, err := pinShardsAt(marker, 0) // marker exists; reads the winner
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range got {
-		if n != onDisk {
-			t.Errorf("opener %d pinned %d shards, marker on disk says %d", i, n, onDisk)
-		}
 	}
 }

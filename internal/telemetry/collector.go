@@ -9,35 +9,17 @@ import (
 )
 
 // Probe publishes one subsystem's gauges; the collector calls every probe
-// once per sampling tick, immediately before it captures the snapshot.
-// Probes must be safe for concurrent use with the subsystem they observe
-// (they read atomics or take short locks — never block).
+// once per sampling tick. Probes must be safe for concurrent use with the
+// subsystem they observe (they read atomics or take short locks — never
+// block).
 type Probe func()
 
-// Snapshot is one timestamped sample of the whole metric registry,
-// flattened for dashboards: counters and gauges by name, histograms as
-// name-suffixed count/sum and derived p50/p99. JSON object keys come out
-// sorted (encoding/json sorts map keys), so serialized history is
-// deterministic for fixed metric state.
-type Snapshot struct {
-	// TimeMs is the sample wall-clock time in Unix milliseconds.
-	TimeMs int64 `json:"t_ms"`
-	// Metrics maps flattened metric names to values.
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Collector is the runtime self-monitoring loop: a goroutine that samples
-// every interval, runs the registered probes (queue depth, cache hit
-// ratio, runtime heap/goroutine gauges), and retains the last N snapshots
-// in a ring buffer for GET /v1/stats/history.
+// Collector is the runtime self-monitoring loop: a goroutine that runs the
+// registered probes (queue depth, cache hit ratio, runtime heap/goroutine
+// gauges) every interval, so the gauges GET /metrics exposes stay fresh.
 type Collector struct {
 	interval time.Duration
 	probes   []Probe
-
-	mu   sync.Mutex
-	ring []Snapshot
-	next int
-	full bool
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -45,27 +27,22 @@ type Collector struct {
 	done      chan struct{}
 }
 
-// NewCollector builds a collector sampling every interval (default 1s)
-// keeping history snapshots (default 600 — ten minutes at the default
-// interval).
-func NewCollector(interval time.Duration, history int, probes ...Probe) *Collector {
+// NewCollector builds a collector running probes every interval (default
+// 1s).
+func NewCollector(interval time.Duration, probes ...Probe) *Collector {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if history <= 0 {
-		history = 600
 	}
 	return &Collector{
 		interval: interval,
 		probes:   probes,
-		ring:     make([]Snapshot, history),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 }
 
-// Start launches the sampling goroutine (idempotent). The first sample is
-// taken immediately, so History is never empty once Start has returned.
+// Start launches the sampling goroutine (idempotent). The probes run once
+// immediately, so the gauges are populated once Start has returned.
 func (c *Collector) Start() {
 	c.startOnce.Do(func() {
 		c.sample()
@@ -93,51 +70,11 @@ func (c *Collector) Close() {
 	<-c.done
 }
 
-// sample runs the probes and appends one snapshot to the ring.
+// sample runs every probe once.
 func (c *Collector) sample() {
 	for _, p := range c.probes {
 		p()
 	}
-	snap := Snapshot{TimeMs: time.Now().UnixMilli(), Metrics: Flatten(obs.Snapshot())}
-	c.mu.Lock()
-	c.ring[c.next] = snap
-	c.next++
-	if c.next == len(c.ring) {
-		c.next = 0
-		c.full = true
-	}
-	c.mu.Unlock()
-}
-
-// History returns the retained snapshots, oldest first.
-func (c *Collector) History() []Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.full {
-		return append([]Snapshot(nil), c.ring[:c.next]...)
-	}
-	out := make([]Snapshot, 0, len(c.ring))
-	out = append(out, c.ring[c.next:]...)
-	return append(out, c.ring[:c.next]...)
-}
-
-// Flatten turns a registry snapshot into the dashboard-friendly flat map:
-// counters and gauges keep their name; a histogram h contributes h.count,
-// h.sum, h.p50 and h.p99.
-func Flatten(snap []obs.MetricValue) map[string]float64 {
-	out := make(map[string]float64, len(snap))
-	for _, mv := range snap {
-		switch mv.Kind {
-		case "histogram":
-			out[mv.Name+".count"] = float64(mv.Count)
-			out[mv.Name+".sum"] = mv.Sum
-			out[mv.Name+".p50"] = mv.Quantile(0.50)
-			out[mv.Name+".p99"] = mv.Quantile(0.99)
-		default:
-			out[mv.Name] = float64(mv.Value)
-		}
-	}
-	return out
 }
 
 // Runtime self-monitoring gauges, published by RuntimeProbe.

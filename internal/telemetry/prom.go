@@ -1,8 +1,7 @@
 // Package telemetry is the production monitoring layer over internal/obs:
 // Prometheus text exposition for the metric registry (GET /metrics), and a
-// sampling collector that publishes runtime self-monitoring gauges and
-// keeps a ring buffer of timestamped snapshots for dashboards
-// (GET /v1/stats/history). Pure stdlib, like everything else in the tree.
+// sampling collector that keeps the runtime and daemon self-monitoring
+// gauges behind it fresh. Pure stdlib, like everything else in the tree.
 //
 // Metric names in the obs registry follow the lowercase-dotted
 // subsystem.noun[.verb] convention (enforced by the speclint metricname

@@ -124,67 +124,46 @@ func TestSplitSeriesAndSanitize(t *testing.T) {
 	}
 }
 
-func TestCollectorRingAndProbes(t *testing.T) {
-	var probed atomic.Int64 // written by the collector goroutine, read here
-	g := obs.GetGauge("telemetrytest.probe_value")
-	c := NewCollector(time.Millisecond, 4, func() {
-		g.Set(probed.Add(1))
-	})
+// TestCollectorRunsProbes: Start runs every probe at once, the ticker runs
+// them again every interval, and Close stops the loop for good.
+func TestCollectorRunsProbes(t *testing.T) {
+	var first, second atomic.Int64 // written by the collector goroutine, read here
+	c := NewCollector(time.Millisecond,
+		func() { first.Add(1) },
+		func() { second.Add(1) })
 	c.Start()
+	if first.Load() < 1 || second.Load() < 1 {
+		t.Fatalf("probes ran %d and %d times after Start, want >= 1 each", first.Load(), second.Load())
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(c.History()) == 4 && probed.Load() >= 6 {
-			break
-		}
+	for first.Load() < 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	c.Close()
 	c.Close() // idempotent
-
-	hist := c.History()
-	if len(hist) != 4 {
-		t.Fatalf("history length = %d, want the full ring of 4", len(hist))
+	if n := first.Load(); n < 5 {
+		t.Errorf("first probe ran %d times, want >= 5", n)
 	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].TimeMs < hist[i-1].TimeMs {
-			t.Fatalf("history out of order at %d: %d then %d", i, hist[i-1].TimeMs, hist[i].TimeMs)
-		}
+	if first.Load() != second.Load() {
+		t.Errorf("probes ran %d and %d times, want every tick to run both", first.Load(), second.Load())
 	}
-	// The ring keeps the newest samples: the probe gauge must be strictly
-	// increasing across retained snapshots and reflect the probe runs.
-	last := hist[len(hist)-1].Metrics["telemetrytest.probe_value"]
-	if last < 4 {
-		t.Errorf("last retained probe value = %g, want >= 4 (ring dropped oldest, kept newest)", last)
-	}
-	if n := probed.Load(); n < 5 {
-		t.Errorf("probe ran %d times, want >= 5", n)
+	stopped := first.Load()
+	time.Sleep(5 * time.Millisecond)
+	if n := first.Load(); n != stopped {
+		t.Errorf("probe ran %d more times after Close", n-stopped)
 	}
 }
 
 func TestRuntimeProbe(t *testing.T) {
 	RuntimeProbe()
-	flat := Flatten(obs.Snapshot())
-	if flat["runtime.goroutines"] < 1 {
-		t.Errorf("runtime.goroutines = %g, want >= 1", flat["runtime.goroutines"])
+	got := map[string]int64{}
+	for _, mv := range obs.Snapshot() {
+		got[mv.Name] = mv.Value
 	}
-	if flat["runtime.heap_alloc_bytes"] <= 0 {
-		t.Errorf("runtime.heap_alloc_bytes = %g, want > 0", flat["runtime.heap_alloc_bytes"])
+	if got["runtime.goroutines"] < 1 {
+		t.Errorf("runtime.goroutines = %d, want >= 1", got["runtime.goroutines"])
 	}
-}
-
-func TestFlattenHistogramQuantiles(t *testing.T) {
-	h := obs.GetHistogram("telemetrytest.flatten_hist")
-	for i := 0; i < 100; i++ {
-		h.Observe(0.002)
-	}
-	flat := Flatten(obs.Snapshot())
-	if flat["telemetrytest.flatten_hist.count"] != 100 {
-		t.Errorf("flattened count = %g, want 100", flat["telemetrytest.flatten_hist.count"])
-	}
-	if p50 := flat["telemetrytest.flatten_hist.p50"]; p50 != 0.002 {
-		t.Errorf("flattened p50 = %g, want exactly 0.002 (single-valued clamp)", p50)
-	}
-	if p99 := flat["telemetrytest.flatten_hist.p99"]; p99 != 0.002 {
-		t.Errorf("flattened p99 = %g, want exactly 0.002", p99)
+	if got["runtime.heap_alloc_bytes"] <= 0 {
+		t.Errorf("runtime.heap_alloc_bytes = %d, want > 0", got["runtime.heap_alloc_bytes"])
 	}
 }
