@@ -47,7 +47,7 @@ race:
 ## break. Far faster than `make race`; the full sweep remains available.
 racesmoke:
 	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|FuzzBoundedMatchesPlain' ./internal/kmeans
-	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute' ./internal/experiments
+	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute|TestFig12NativeServedFromStore' ./internal/experiments
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched
 	$(GO) test -race -run 'TestJSONLSinkConcurrentJobsDoNotTearLines|TestScopedSinksReceiveOnlyTheirJob|TestHistogramConcurrentObserve' ./internal/obs
@@ -150,21 +150,29 @@ servesmoke:
 	grep -A4 '"serve.dedup"' "$$dir/daemon.log" | grep -q '"value"' || { echo "servesmoke: serve.dedup counter never fired"; exit 1; }; \
 	echo "servesmoke: dedup, streaming, byte-identity, metrics scrape and drain all verified"
 
-## cachesmoke: the persistent artifact store end to end — run the same
-## experiment twice into a fresh cache dir; the second run must be served
-## from the store (store.hit > 0 in the metrics dump) and print
+## cachesmoke: the persistent artifact store end to end — run tableII and
+## then fig12 twice each into one fresh cache dir; each second run must be
+## served from the store (store.hit > 0 in the metrics dump) and print
 ## byte-identical results (the wall-clock "completed in" line excluded).
+## fig12's native reference is a stored artifact, so its cold run traces
+## a "native" span and its warm run none.
 cachesmoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/experiments -run tableII -scale small \
-		-bench 505.mcf_r,503.bwaves_r -cache-dir "$$dir/cache" -metrics \
-		>"$$dir/cold.txt" 2>"$$dir/cold.metrics"; \
-	$(GO) run ./cmd/experiments -run tableII -scale small \
-		-bench 505.mcf_r,503.bwaves_r -cache-dir "$$dir/cache" -metrics \
-		>"$$dir/warm.txt" 2>"$$dir/warm.metrics"; \
-	grep -v '^completed in' "$$dir/cold.txt" >"$$dir/cold.cmp"; \
-	grep -v '^completed in' "$$dir/warm.txt" >"$$dir/warm.cmp"; \
-	cmp "$$dir/cold.cmp" "$$dir/warm.cmp"; \
-	grep -A4 '"store.hit"' "$$dir/warm.metrics" | grep -q '"value"'; \
-	echo "cachesmoke: warm run byte-identical and served from the store"
+	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
+	for run in tableII fig12; do \
+		for pass in cold warm; do \
+			"$$dir/experiments" -run $$run -scale small \
+				-bench 505.mcf_r,503.bwaves_r -cache-dir "$$dir/cache" -metrics \
+				-trace "$$dir/$$run.$$pass.trace" \
+				>"$$dir/$$run.$$pass.txt" 2>"$$dir/$$run.$$pass.metrics"; \
+			grep -v '^completed in' "$$dir/$$run.$$pass.txt" >"$$dir/$$run.$$pass.cmp"; \
+		done; \
+		cmp "$$dir/$$run.cold.cmp" "$$dir/$$run.warm.cmp"; \
+		grep -A4 '"store.hit"' "$$dir/$$run.warm.metrics" | grep -q '"value"'; \
+	done; \
+	grep -q '"name":"native"' "$$dir/fig12.cold.trace" \
+		|| { echo "cachesmoke: cold fig12 ran no native pass"; exit 1; }; \
+	! grep -q '"name":"native"' "$$dir/fig12.warm.trace" \
+		|| { echo "cachesmoke: warm fig12 re-ran the native pass"; exit 1; }; \
+	echo "cachesmoke: warm tableII and fig12 byte-identical and served from the store"

@@ -112,6 +112,7 @@ func (c Config) selectorFor() (selector.Selector, error) {
 
 // profileArtifact is the persisted form of the profile stage: the slices
 // (with their per-slice checkpoints) and the whole-run instruction count.
+// Each slice is stored in simpoint.Slice's compact binary form.
 type profileArtifact struct {
 	Slices      []simpoint.Slice
 	TotalInstrs uint64
@@ -186,7 +187,7 @@ func Analyze(ctx context.Context, spec workload.Spec, cfg Config) (*Analysis, er
 // profile and clustering stages are looked up in st before being computed,
 // and computed results are persisted for the next process. A nil store
 // degrades to plain Analyze. Stage results served from disk are
-// byte-identical to recomputation (gob round-trips float64s exactly), so a
+// byte-identical to recomputation (float64s round-trip bit-exactly), so a
 // resumed run reports the same numbers as a cold one.
 func AnalyzeStored(ctx context.Context, spec workload.Spec, cfg Config, st *store.Store) (*Analysis, error) {
 	cfg = cfg.Normalize()

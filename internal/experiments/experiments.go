@@ -21,6 +21,7 @@ import (
 
 	"specsampling/internal/cache"
 	"specsampling/internal/core"
+	"specsampling/internal/native"
 	"specsampling/internal/obs"
 	"specsampling/internal/sched"
 	"specsampling/internal/selector"
@@ -103,6 +104,7 @@ type Runner struct {
 	wholeC   sched.Group[string, core.CacheProfile]
 	wholeM   sched.Group[string, core.MixProfile]
 	wholeP   sched.Group[string, core.CPIProfile]
+	wholeN   sched.Group[string, timing.Counters]
 	fig8     sched.Group[struct{}, *Fig8Result]
 }
 
@@ -194,7 +196,8 @@ func (r *Runner) analysis(ctx context.Context, spec workload.Spec) (*core.Analys
 
 // wholeKey is the store key of a whole-run replay profile. The profile is a
 // function of the built program alone (benchmark + scale) plus the
-// scale-derived cache hierarchy, so the scale identifies it completely.
+// scale-derived cache hierarchy (or, for whole_native, the scale-derived
+// native machine), so the scale identifies it completely.
 func (r *Runner) wholeKey(kind, bench string) store.Key {
 	return store.Key{Kind: kind, Bench: bench, Parts: []string{
 		"scale=" + r.opts.Scale.Name,
@@ -274,6 +277,20 @@ func (r *Runner) whole(ctx context.Context, an *core.Analysis, need wholeKinds) 
 	return out, err
 }
 
+// perfStat returns (and caches) the benchmark's native perf-stat counters,
+// the reference of Figure 12: one whole-program run on the native machine
+// (native.PerfStat, run index 0), looked up memory → disk → compute as kind
+// whole_native. The machine constants and the noise are code constants,
+// which store.Version covers, so wholeKey identifies the run. The compute
+// runs under a "native" span.
+func (r *Runner) perfStat(ctx context.Context, an *core.Analysis) (timing.Counters, error) {
+	return wholeKind(ctx, r, &r.wholeN, "whole_native", an.Spec.Name, func() (timing.Counters, error) {
+		_, span := obs.Start(ctx, "native", obs.String("bench", an.Spec.Name))
+		defer span.End()
+		return native.PerfStat(an.Prog, r.opts.Scale.CacheDivs, 0)
+	})
+}
+
 // wholeKind is one kind's memory → disk → compute lookup.
 func wholeKind[P any](ctx context.Context, r *Runner, g *sched.Group[string, P], kind, bench string, compute func() (P, error)) (P, error) {
 	return g.Do(ctx, bench, func() (P, error) {
@@ -314,24 +331,27 @@ func IDs() []string {
 type prewarmNeeds struct {
 	spec workload.Spec
 	wholeKinds
+	native bool
 }
 
 // Prewarm precomputes, in parallel across the worker budget, every
-// per-benchmark analysis and whole-run profile the given experiment ids
-// will need ("all" expands to every experiment), with at most one
-// whole-program pass per benchmark for the union of the whole-run kinds.
-// Figures executed afterwards find their inputs cached and only pay their
-// own incremental replay cost. Calling Prewarm is never required — the figure loops are
-// parallel and the caches are singleflight either way — but it front-loads
-// the dominant cost into one suite-wide fan-out.
+// per-benchmark analysis, whole-run profile and native reference the given
+// experiment ids will need ("all" expands to every experiment), with at
+// most one whole-program pass per benchmark for the union of the whole-run
+// kinds. Figures executed afterwards find their inputs cached and only pay
+// their own incremental replay cost. Calling Prewarm is never required —
+// the figure loops are parallel and the caches are singleflight either
+// way — but it front-loads the dominant cost into one suite-wide fan-out.
 func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
-	var suite, suiteMix, suiteCache, suiteCPI, fig3 bool
+	var suite, suiteMix, suiteCache, suiteCPI, suiteNative, fig3 bool
 	for _, id := range ids {
 		switch id {
 		case "all":
-			suite, suiteMix, suiteCache, suiteCPI, fig3 = true, true, true, true, true
-		case "tableII", "fig4", "fig5", "fig6", "fig12":
+			suite, suiteMix, suiteCache, suiteCPI, suiteNative, fig3 = true, true, true, true, true, true
+		case "tableII", "fig4", "fig5", "fig6":
 			suite = true
+		case "fig12":
+			suite, suiteNative = true, true
 		case "fig7":
 			suite, suiteMix = true, true
 		case "fig8", "fig10":
@@ -352,7 +372,7 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 	var jobs []prewarmNeeds
 	if suite {
 		for _, spec := range r.specs {
-			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{suiteMix, suiteCache, suiteCPI}})
+			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{suiteMix, suiteCache, suiteCPI}, suiteNative})
 		}
 	}
 	if fig3 {
@@ -368,7 +388,7 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 			}
 		}
 		if !found {
-			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{mix: true, cache: true}})
+			jobs = append(jobs, prewarmNeeds{spec: spec, wholeKinds: wholeKinds{mix: true, cache: true}})
 		}
 	}
 	return sched.ForEach(ctx, r.workers(), len(jobs), func(i int) error {
@@ -377,7 +397,12 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 		if err != nil {
 			return err
 		}
-		_, err = r.whole(ctx, an, job.wholeKinds)
+		if _, err := r.whole(ctx, an, job.wholeKinds); err != nil {
+			return err
+		}
+		if job.native {
+			_, err = r.perfStat(ctx, an)
+		}
 		return err
 	})
 }

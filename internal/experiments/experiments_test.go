@@ -401,17 +401,20 @@ func TestRunRecordedCollectsResults(t *testing.T) {
 	}
 }
 
-// wholeSpanSink counts "whole" spans (whole-program measurement passes)
-// per benchmark.
-type wholeSpanSink struct {
+// spanSink counts the spans of one name per benchmark: "whole"
+// (whole-program measurement passes) or "native" (native reference runs).
+type spanSink struct {
+	name   string
 	mu     sync.Mutex
 	passes map[string]int
 }
 
-func (s *wholeSpanSink) Progress(obs.ProgressEvent) {}
-func (s *wholeSpanSink) Close() error               { return nil }
-func (s *wholeSpanSink) SpanEnd(sd *obs.SpanData) {
-	if sd.Name != "whole" {
+func newSpanSink(name string) *spanSink { return &spanSink{name: name, passes: map[string]int{}} }
+
+func (s *spanSink) Progress(obs.ProgressEvent) {}
+func (s *spanSink) Close() error               { return nil }
+func (s *spanSink) SpanEnd(sd *obs.SpanData) {
+	if sd.Name != s.name {
 		return
 	}
 	for _, a := range sd.Attrs {
@@ -442,7 +445,7 @@ func TestPrewarmOneWholePassPerBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := &wholeSpanSink{passes: map[string]int{}}
+		sink := newSpanSink("whole")
 		obs.Enable(sink)
 		err = r.Prewarm(tctx, "shootout")
 		obs.Disable()
@@ -453,6 +456,66 @@ func TestPrewarmOneWholePassPerBenchmark(t *testing.T) {
 			if got := sink.passes[b]; got != tc.want {
 				t.Errorf("%s: %s ran %d whole-run passes, want %d", tc.name, b, got, tc.want)
 			}
+		}
+	}
+}
+
+// TestFig12NativeServedFromStore checks that the native reference is a
+// stored whole-run artifact: Fig12 on a cold store runs one native pass per
+// benchmark, Prewarm("fig12") front-loads that pass, and a runner over a
+// warm store runs none and reports identical bytes.
+func TestFig12NativeServedFromStore(t *testing.T) {
+	benches := []string{"505.mcf_r", "503.bwaves_r"}
+	st, err := store.Open(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := store.Open(filepath.Join(t.TempDir(), "prewarm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, tc := range []struct {
+		name    string
+		store   *store.Store
+		prewarm bool
+		want    int
+	}{
+		{"cold store", st, false, 1},
+		{"warm store", st, false, 0},
+		{"prewarmed cold store", pre, true, 1},
+		{"prewarmed warm store", pre, true, 0},
+	} {
+		r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: benches, Store: tc.store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := newSpanSink("native")
+		obs.Enable(sink)
+		rep := NewReport()
+		if tc.prewarm {
+			err = r.Prewarm(tctx, "fig12")
+		}
+		if err == nil {
+			err = r.RunRecorded(tctx, "fig12", rep)
+		}
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range benches {
+			if got := sink.passes[b]; got != tc.want {
+				t.Errorf("%s: %s ran %d native passes, want %d", tc.name, b, got, tc.want)
+			}
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf, "small", benches); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: report differs from the cold run:\n%s\nwant:\n%s", tc.name, buf.Bytes(), want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"specsampling/internal/core"
-	"specsampling/internal/native"
 	"specsampling/internal/stats"
 	"specsampling/internal/textplot"
 	"specsampling/internal/workload"
@@ -637,8 +636,9 @@ type Fig12Result struct {
 	Correlation float64
 }
 
-// Fig12 compares whole-program native execution (perf counters) against
-// Sniper running Regional and Reduced Regional pinballs, on CPI.
+// Fig12 compares whole-program native execution (perf counters, a stored
+// whole-run artifact) against Sniper running Regional and Reduced Regional
+// pinballs, on CPI.
 func (r *Runner) Fig12(ctx context.Context) (*Fig12Result, error) {
 	res := &Fig12Result{Rows: make([]Fig12Row, len(r.specs))}
 	cfg := r.TimingConfig()
@@ -647,7 +647,7 @@ func (r *Runner) Fig12(ctx context.Context) (*Fig12Result, error) {
 		if err != nil {
 			return err
 		}
-		nat, err := native.PerfStat(an.Prog, r.opts.Scale.CacheDivs, 0)
+		nat, err := r.perfStat(ctx, an)
 		if err != nil {
 			return err
 		}

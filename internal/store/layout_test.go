@@ -26,8 +26,8 @@ func TestFlatLayout(t *testing.T) {
 
 // TestShardedCacheDirOpens: a directory written by the older sharded layout
 // (a shards marker at the root, entries under kind/sNN/) opens without
-// error. Its sharded entries are never read; the flat slot misses and
-// recomputes.
+// error. Its sharded entries are never read or counted; the flat slot
+// misses and recomputes.
 func TestShardedCacheDirOpens(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey("slice=64")
@@ -62,6 +62,13 @@ func TestShardedCacheDirOpens(t *testing.T) {
 	}
 	if !s.Get(ctx, key, &out) || out.Name != "flat" {
 		t.Fatalf("recomputed entry not served: %+v", out)
+	}
+	sharded := filepath.Join(shard, filepath.Base(old.path(key)))
+	if _, err := os.Stat(sharded); err != nil {
+		t.Fatalf("sharded entry gone: %v", err)
+	}
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len = %d beside a sharded leftover, want 1 (the flat entry)", got)
 	}
 }
 

@@ -35,7 +35,7 @@
 // puts per suite pass and warm-store gets, so no directory is ever
 // contended and the layout needs no fan-out. Entries an older sharded
 // layout left in per-kind sNN/ subdirectories are never read again, like any
-// other structurally invalidated entry.
+// other structurally invalidated entry, and Len does not count them.
 package store
 
 import (
@@ -58,8 +58,10 @@ import (
 
 // Version is the code-version salt folded into every key digest. Bump it
 // whenever a pipeline change alters the bytes a stage produces for the same
-// configuration; every existing cache entry then misses cleanly.
-const Version = "specart-v1"
+// configuration, or the encoding of a stored payload changes; every
+// existing cache entry then misses cleanly. v2: profile slices are stored
+// in simpoint.Slice's compact binary form.
+const Version = "specart-v2"
 
 // Envelope framing: an 8-byte magic, the big-endian payload length, and the
 // CRC-64/ECMA of the payload, followed by the gob payload itself.
@@ -122,9 +124,12 @@ type Key struct {
 
 // digest hashes the version salt and every key component, NUL-separated so
 // concatenation ambiguities cannot alias two keys.
-func (k Key) digest() string {
+func (k Key) digest() string { return k.digestAt(Version) }
+
+// digestAt is digest under an explicit version salt.
+func (k Key) digestAt(version string) string {
 	h := sha256.New()
-	for _, s := range append([]string{Version, k.Kind, k.Bench}, k.Parts...) {
+	for _, s := range append([]string{version, k.Kind, k.Bench}, k.Parts...) {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
@@ -347,24 +352,28 @@ func syncDir(dir string) {
 	}
 }
 
-// Len counts the artifacts currently stored (quarantined entries excluded).
+// Len counts the artifacts currently stored: the flat
+// <dir>/<kind>/*.art entries. Quarantined entries and anything deeper (an
+// older layout's kind/sNN/ shards) are excluded.
 func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
+	// An unreadable directory counts what was read of it: Len is a
+	// diagnostic count, not a lookup.
+	kinds, _ := os.ReadDir(s.dir)
 	n := 0
-	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
+	for _, k := range kinds {
+		if !k.IsDir() || k.Name() == quarantineDir {
+			continue
 		}
-		if d.IsDir() && d.Name() == quarantineDir {
-			return filepath.SkipDir
+		ents, _ := os.ReadDir(filepath.Join(s.dir, k.Name()))
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".art") {
+				n++
+			}
 		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".art") {
-			n++
-		}
-		return nil
-	})
+	}
 	return n
 }
 
