@@ -1,17 +1,18 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet e2evet lint fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
+.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
 
 ## check: the pre-commit gate — gofmt, vet (root and e2ebench modules),
-## the project's own static analysis (speclint), build, the full test
+## the project's own static analysis (speclint), the unreachable-package
+## check, build, the full test
 ## suite, the determinism tests under -race, a single-iteration pass over
 ## every benchmark (including the obs overhead guard), a warm-cache smoke
 ## run of the persistent store, a cross-selector shoot-out smoke, the
 ## daemon smoke (dedup, streaming, byte-identity, SIGTERM drain), and the
 ## performance-regression gate against the committed BENCH_*.json baseline
 ## (skipped on hosts without one).
-check: fmtcheck vet e2evet lint build test racesmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
+check: fmtcheck vet e2evet lint deadpkg build test racesmoke benchsmoke cachesmoke shootoutsmoke servesmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +28,19 @@ e2evet:
 ## breakdown so a slow analyzer shows up in CI logs, not in folklore.
 lint:
 	$(GO) run ./cmd/speclint -time ./...
+
+## deadpkg: fail, naming each package under internal/ that no command or
+## example imports, directly or transitively. Such a package is code no
+## binary can run; only its own tests keep it compiling.
+deadpkg:
+	@set -e; \
+	used="$$($(GO) list -deps ./cmd/... ./examples/...)"; \
+	all="$$($(GO) list ./internal/...)"; \
+	dead=""; for p in $$all; do \
+		echo "$$used" | grep -qxF "$$p" || dead="$$dead $$p"; \
+	done; \
+	[ -z "$$dead" ] || { echo "deadpkg: no command or example imports:$$dead"; exit 1; }; \
+	echo "deadpkg: every internal package is reachable from cmd/ or examples/"
 
 ## fmtcheck: fail if any file needs gofmt (and list the offenders).
 fmtcheck:

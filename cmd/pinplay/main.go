@@ -9,9 +9,10 @@
 //	pinplay replay -pinball out/505.mcf_r.region_03.pb [-scale medium]
 //	pinplay replay [-workers N] out/*.pb
 //
-// Replaying several pinballs at once — even from different benchmarks —
-// runs them as one flat sharded work list across the worker pool
-// (pinball.ReplaySuite), the paper's "executed in parallel to save time".
+// Replay runs every pinball given — one or many, even from different
+// benchmarks — as one flat sharded work list across the worker pool
+// (pinball.ReplaySuite), the paper's "executed in parallel to save time",
+// and prints one ldstmix/allcache row per pinball.
 package main
 
 import (
@@ -110,8 +111,8 @@ func logPinballs(ctx context.Context, args []string) error {
 func replay(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	path := fs.String("pinball", "", "pinball file to replay")
-	scaleName := fs.String("scale", "medium", "workload scale the pinball was captured at")
-	workers := fs.Int("workers", 0, "replay workers for multi-pinball runs (0 = all cores)")
+	scaleName := fs.String("scale", "medium", "workload scale the pinballs were captured at")
+	workers := fs.Int("workers", 0, "replay workers (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,57 +123,13 @@ func replay(ctx context.Context, args []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("missing -pinball (or pinball file arguments)")
 	}
-	if len(paths) > 1 {
-		return replaySuite(ctx, paths, *scaleName, *workers)
-	}
-	pb, err := pinball.Load(paths[0])
-	if err != nil {
-		return err
-	}
-	if pb.Scale != "" && pb.Scale != *scaleName {
-		fmt.Fprintf(os.Stderr, "pinplay: note: pinball was captured at scale %q, replaying at %q\n", pb.Scale, *scaleName)
-		*scaleName = pb.Scale
-	}
-	spec, err := workload.ByName(pb.Benchmark)
-	if err != nil {
-		return err
-	}
-	scale, err := workload.ScaleByName(*scaleName)
-	if err != nil {
-		return err
-	}
-	prog, err := spec.Build(scale)
-	if err != nil {
-		return err
-	}
-
-	hier, err := cache.NewHierarchy(cache.ScaledHierarchy(cache.TableIConfig(), scale.CacheDivs))
-	if err != nil {
-		return err
-	}
-	mix := pintool.NewLdStMix()
-	ac := pintool.NewAllCache(hier)
-	n, err := pinball.Replay(prog, pb, []pin.Tool{mix, ac}...)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("pinball:      %s (%s, region %d, weight %.4f)\n", paths[0], pb.Kind, pb.Region, pb.Weight)
-	if pb.HasWarmup {
-		fmt.Printf("warm-up:      %d instructions\n", pb.WarmupLen)
-	}
-	fmt.Printf("instructions: %d\n", n)
-	fr := mix.Fractions()
-	fmt.Printf("ldstmix:      NO_MEM %.2f%%  MEM_R %.2f%%  MEM_W %.2f%%  MEM_RW %.2f%%\n",
-		fr[0]*100, fr[1]*100, fr[2]*100, fr[3]*100)
-	l1d, l2, l3 := hier.MissRates()
-	fmt.Printf("allcache:     L1D %.2f%%  L2 %.2f%%  L3 %.2f%% miss\n", l1d*100, l2*100, l3*100)
-	return nil
+	return replaySuite(ctx, paths, *scaleName, *workers)
 }
 
-// replaySuite replays several pinball files — possibly spanning benchmarks —
-// as one flat sharded work list, printing a per-pinball summary in input
-// order.
+// replaySuite replays pinball files — possibly spanning benchmarks — as one
+// flat sharded work list. Each pinball gets its own ldstmix and allcache
+// (a private Table I hierarchy, warmed over the pinball's warm-up region);
+// one row per pinball is printed in input order.
 func replaySuite(ctx context.Context, paths []string, scaleName string, workers int) error {
 	pbs := make([]*pinball.Pinball, len(paths))
 	for i, p := range paths {
@@ -183,36 +140,42 @@ func replaySuite(ctx context.Context, paths []string, scaleName string, workers 
 		pbs[i] = pb
 	}
 
-	// Group by benchmark, preserving first-appearance order so output and
-	// program construction are deterministic.
+	// Group by benchmark and capture scale, preserving first-appearance
+	// order so output and program construction are deterministic. A
+	// pinball's recorded scale wins over -scale.
+	type groupKey struct{ bench, scale string }
 	type group struct {
-		bench string
-		idx   []int // indices into pbs/paths
+		groupKey
+		idx []int // indices into pbs/paths
 	}
 	var groups []group
-	byBench := map[string]int{}
+	byKey := map[groupKey]int{}
 	for i, pb := range pbs {
-		g, ok := byBench[pb.Benchmark]
+		key := groupKey{pb.Benchmark, scaleName}
+		if pb.Scale != "" {
+			if pb.Scale != scaleName {
+				fmt.Fprintf(os.Stderr, "pinplay: note: %s was captured at scale %q; replaying at that scale, not %q\n", paths[i], pb.Scale, scaleName)
+			}
+			key.scale = pb.Scale
+		}
+		g, ok := byKey[key]
 		if !ok {
 			g = len(groups)
-			byBench[pb.Benchmark] = g
-			groups = append(groups, group{bench: pb.Benchmark})
+			byKey[key] = g
+			groups = append(groups, group{groupKey: key})
 		}
 		groups[g].idx = append(groups[g].idx, i)
 	}
 
 	jobs := make([]pinball.SuiteJob, len(groups))
 	mixes := make([]*pintool.LdStMix, len(pbs))
+	hiers := make([]*cache.Hierarchy, len(pbs))
 	for g, grp := range groups {
 		spec, err := workload.ByName(grp.bench)
 		if err != nil {
 			return err
 		}
-		sn := scaleName
-		if s := pbs[grp.idx[0]].Scale; s != "" {
-			sn = s
-		}
-		scale, err := workload.ScaleByName(sn)
+		scale, err := workload.ScaleByName(grp.scale)
 		if err != nil {
 			return err
 		}
@@ -220,9 +183,13 @@ func replaySuite(ctx context.Context, paths []string, scaleName string, workers 
 		if err != nil {
 			return err
 		}
+		hcfg := cache.ScaledHierarchy(cache.TableIConfig(), scale.CacheDivs)
 		grpPbs := make([]*pinball.Pinball, len(grp.idx))
 		for j, i := range grp.idx {
 			grpPbs[j] = pbs[i]
+			if hiers[i], err = cache.NewHierarchy(hcfg); err != nil {
+				return err
+			}
 		}
 		idx := grp.idx
 		jobs[g] = pinball.SuiteJob{
@@ -231,7 +198,7 @@ func replaySuite(ctx context.Context, paths []string, scaleName string, workers 
 			MakeTools: func(j int) []pin.Tool {
 				m := pintool.NewLdStMix()
 				mixes[idx[j]] = m
-				return []pin.Tool{m}
+				return []pin.Tool{m, pintool.NewAllCache(hiers[idx[j]])}
 			},
 		}
 	}
@@ -254,13 +221,15 @@ func replaySuite(ctx context.Context, paths []string, scaleName string, workers 
 			}
 			continue
 		}
+		pb := res.Pinball
 		fr := mixes[i].Fractions()
-		fmt.Printf("%-40s %-12s region %2d  weight %.4f  %12d instrs  MEM_R %.1f%%\n",
-			paths[i], res.Pinball.Benchmark, res.Pinball.Region, res.Pinball.Weight,
-			res.Executed, fr[1]*100)
+		l1d, l2, l3 := hiers[i].MissRates()
+		fmt.Printf("%-40s %-12s %-8s region %2d  weight %.4f  %12d instrs  warm-up %8d  MEM_R %5.1f%%  miss L1D %5.2f%% L2 %5.2f%% L3 %5.2f%%\n",
+			paths[i], pb.Benchmark, pb.Kind, pb.Region, pb.Weight, res.Executed, pb.WarmupLen,
+			fr[1]*100, l1d*100, l2*100, l3*100)
 		total += res.Executed
 	}
-	fmt.Printf("replayed %d pinballs across %d benchmarks: %d instructions\n",
+	fmt.Printf("replayed %d pinballs across %d programs: %d instructions\n",
 		len(pbs), len(groups), total)
 	return firstErr
 }

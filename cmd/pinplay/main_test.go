@@ -2,9 +2,10 @@ package main
 
 import (
 	"context"
-
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,4 +41,42 @@ func TestLogThenReplay(t *testing.T) {
 	if err := run(context.Background(), []string{"replay", "-pinball", region, "-scale", "small"}); err != nil {
 		t.Fatal(err)
 	}
+	// Two pinballs take the same path: one row each, with mix and cache
+	// statistics from a private hierarchy.
+	region1 := filepath.Join(dir, "520.omnetpp_r.region_01.pb")
+	out := captureStdout(t, func() error {
+		return run(context.Background(), []string{"replay", "-scale", "small", region, region1})
+	})
+	for _, p := range []string{region, region1} {
+		if n := strings.Count(out, p+" "); n != 1 {
+			t.Errorf("%d rows for %s in:\n%s", n, p, out)
+		}
+	}
+	if n := strings.Count(out, "miss L1D"); n != 2 || strings.Contains(out, "L1D  0.00%") {
+		t.Errorf("want 2 rows with non-zero cache statistics, got %d:\n%s", n, out)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := string(<-done)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out
 }

@@ -33,13 +33,13 @@ func main() {
 	}
 	scale := workload.ScaleFromEnv(workload.ScaleMedium)
 	cfg := core.DefaultConfig(scale)
-	obs.Headerf("scale=%s slice=%d maxk=%d seed=%d workers=%d",
+	ctx := context.Background()
+	obs.HeaderfCtx(ctx, "scale=%s slice=%d maxk=%d seed=%d workers=%d",
 		scale.Name, scale.SliceLen, cfg.SimPoint.MaxK, cfg.Seed, sched.Workers(cfg.Workers))
 
 	// 2. Profile and cluster: one pass over the whole execution collects a
 	// basic block vector per 30M-equivalent slice; k-means with BIC model
 	// selection (MaxK 35) groups the slices into phases.
-	ctx := context.Background()
 	an, err := core.Analyze(ctx, spec, cfg)
 	if err != nil {
 		log.Fatal(err)

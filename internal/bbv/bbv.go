@@ -15,12 +15,8 @@ import (
 	"fmt"
 
 	"specsampling/internal/isa"
-	"specsampling/internal/obs"
 	"specsampling/internal/rng"
 )
-
-// projectionCounter counts vectors pushed through random projection.
-var projectionCounter = obs.GetCounter("bbv.projections")
 
 // DefaultProjectedDims is SimPoint's default random-projection
 // dimensionality.
@@ -105,13 +101,8 @@ func NewProjector(inDims, outDims int, seed uint64) (*Projector, error) {
 	return &Projector{inDims: inDims, outDims: outDims, matrix: m}, nil
 }
 
-// InDims returns the input dimensionality.
-func (p *Projector) InDims() int { return p.inDims }
-
-// OutDims returns the output dimensionality.
-func (p *Projector) OutDims() int { return p.outDims }
-
-// Project maps one vector. The input length must equal InDims.
+// Project maps one vector. The input length must equal the projector's
+// input dimensionality.
 func (p *Projector) Project(v []float64) []float64 {
 	if len(v) != p.inDims {
 		panic(fmt.Sprintf("bbv: projecting %d-dim vector through %d-dim projector", len(v), p.inDims))
@@ -129,16 +120,6 @@ func (p *Projector) Project(v []float64) []float64 {
 	return out
 }
 
-// ProjectAll maps a set of vectors.
-func (p *Projector) ProjectAll(vs [][]float64) [][]float64 {
-	out := make([][]float64, len(vs))
-	for i, v := range vs {
-		out[i] = p.Project(v)
-	}
-	projectionCounter.Add(int64(len(vs)))
-	return out
-}
-
 // SqDist returns the squared Euclidean distance between equal-length
 // vectors.
 func SqDist(a, b []float64) float64 {
@@ -149,23 +130,6 @@ func SqDist(a, b []float64) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		sum += d * d
-	}
-	return sum
-}
-
-// ManhattanDist returns the L1 distance between equal-length vectors, the
-// metric the original SimPoint paper reports for BBV similarity.
-func ManhattanDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bbv: distance between %d-dim and %d-dim vectors", len(a), len(b)))
-	}
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
 	}
 	return sum
 }

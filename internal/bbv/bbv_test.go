@@ -188,25 +188,13 @@ func TestProjectorValidation(t *testing.T) {
 	p.Project([]float64{1, 2})
 }
 
-func TestProjectAll(t *testing.T) {
-	p, _ := NewProjector(3, 2, 5)
-	vs := [][]float64{{1, 0, 0}, {0, 1, 0}}
-	out := p.ProjectAll(vs)
-	if len(out) != 2 || len(out[0]) != 2 {
-		t.Fatalf("ProjectAll shape wrong: %v", out)
-	}
-}
-
 func TestDistances(t *testing.T) {
 	a := []float64{0, 0, 0}
 	b := []float64{1, 2, 2}
 	if got := SqDist(a, b); got != 9 {
 		t.Errorf("SqDist = %v, want 9", got)
 	}
-	if got := ManhattanDist(a, b); got != 5 {
-		t.Errorf("ManhattanDist = %v, want 5", got)
-	}
-	if SqDist(a, a) != 0 || ManhattanDist(b, b) != 0 {
+	if SqDist(a, a) != 0 || SqDist(b, b) != 0 {
 		t.Error("self distance must be 0")
 	}
 }
@@ -218,7 +206,7 @@ func TestDistanceSymmetryProperty(t *testing.T) {
 		}
 		a := []float64{ax, ay}
 		b := []float64{bx, by}
-		return SqDist(a, b) == SqDist(b, a) && ManhattanDist(a, b) == ManhattanDist(b, a)
+		return SqDist(a, b) == SqDist(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -204,21 +204,12 @@ func AnalyzeStored(ctx context.Context, spec workload.Spec, cfg Config, st *stor
 	return analyzeProgram(ctx, spec, prog, cfg, st)
 }
 
-// AnalyzeProgram profiles and clusters an already-built program (callers
-// that sweep slice sizes rebuild programs themselves).
-func AnalyzeProgram(ctx context.Context, spec workload.Spec, prog *program.Program, cfg Config) (*Analysis, error) {
-	cfg = cfg.Normalize()
-	ctx, span := obs.Start(ctx, "analyze",
-		obs.String("bench", spec.Name), obs.String("scale", cfg.Scale.Name))
-	defer span.End()
-	return analyzeProgram(ctx, spec, prog, cfg, nil)
-}
-
-// analyzeProgram is the shared profile+cluster pass under an "analyze" span.
-// Each stage goes disk store → compute (the in-memory singleflight layer is
-// the caller's, e.g. experiments.Runner); computed stages are persisted even
-// when the run is being cancelled, so an interrupted suite resumes from the
-// last completed stage rather than the last completed benchmark.
+// analyzeProgram is AnalyzeStored's profile+cluster pass, run under its
+// "analyze" span. Each stage goes disk store → compute (the in-memory
+// singleflight layer is the caller's, e.g. experiments.Runner); computed
+// stages are persisted even when the run is being cancelled, so an
+// interrupted suite resumes from the last completed stage rather than the
+// last completed benchmark.
 func analyzeProgram(ctx context.Context, spec workload.Spec, prog *program.Program, cfg Config, st *store.Store) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -61,14 +61,6 @@ func (k Kind) MixKind() Kind {
 	return k
 }
 
-// ReadsMemory reports whether an instruction of this kind has a memory
-// source operand.
-func (k Kind) ReadsMemory() bool { return k == MemR || k == MemRW }
-
-// WritesMemory reports whether an instruction of this kind has a memory
-// destination operand.
-func (k Kind) WritesMemory() bool { return k == MemW || k == MemRW }
-
 // AccessesMemory reports whether the instruction touches memory at all.
 func (k Kind) AccessesMemory() bool { return k == MemR || k == MemW || k == MemRW }
 
@@ -132,18 +124,6 @@ func (m Mix) Fractions() [4]float64 {
 		float64(m.MemR) / t,
 		float64(m.MemW) / t,
 		float64(m.MemRW) / t,
-	}
-}
-
-// Scale returns the mix with every category multiplied by f (used to build
-// weighted suite averages). Counts are rounded to nearest.
-func (m Mix) Scale(f float64) Mix {
-	round := func(v uint64) uint64 { return uint64(float64(v)*f + 0.5) }
-	return Mix{
-		NoMem: round(m.NoMem),
-		MemR:  round(m.MemR),
-		MemW:  round(m.MemW),
-		MemRW: round(m.MemRW),
 	}
 }
 

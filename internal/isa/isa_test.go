@@ -25,22 +25,16 @@ func TestKindString(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	tests := []struct {
-		k                  Kind
-		reads, writes, mem bool
+		k   Kind
+		mem bool
 	}{
-		{NoMem, false, false, false},
-		{MemR, true, false, true},
-		{MemW, false, true, true},
-		{MemRW, true, true, true},
-		{Branch, false, false, false},
+		{NoMem, false},
+		{MemR, true},
+		{MemW, true},
+		{MemRW, true},
+		{Branch, false},
 	}
 	for _, tt := range tests {
-		if got := tt.k.ReadsMemory(); got != tt.reads {
-			t.Errorf("%v.ReadsMemory() = %v", tt.k, got)
-		}
-		if got := tt.k.WritesMemory(); got != tt.writes {
-			t.Errorf("%v.WritesMemory() = %v", tt.k, got)
-		}
 		if got := tt.k.AccessesMemory(); got != tt.mem {
 			t.Errorf("%v.AccessesMemory() = %v", tt.k, got)
 		}
@@ -106,18 +100,6 @@ func TestMixFractionsZero(t *testing.T) {
 	var m Mix
 	if fr := m.Fractions(); fr != [4]float64{} {
 		t.Errorf("zero mix fractions = %v", fr)
-	}
-}
-
-func TestMixScale(t *testing.T) {
-	m := Mix{NoMem: 100, MemR: 50, MemW: 25, MemRW: 10}
-	half := m.Scale(0.5)
-	want := Mix{NoMem: 50, MemR: 25, MemW: 13, MemRW: 5}
-	if half != want {
-		t.Errorf("Scale(0.5) = %+v, want %+v", half, want)
-	}
-	if m.Scale(1.0) != m {
-		t.Error("Scale(1.0) should be identity")
 	}
 }
 

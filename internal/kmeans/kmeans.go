@@ -578,10 +578,10 @@ func updateCentroids(m *matrix, sc *scratch, k int) {
 	}
 }
 
-// materialize builds a Result from the scratch state of a finished Lloyd
-// run, compacting away empty clusters. It threads the final iteration's
-// assignment and WCSS through instead of re-deriving them with another full
-// distance pass.
+// materialize builds a Result from the centroids, sizes and assignment in
+// sc — a finished Lloyd run's or assignMatrix's — compacting away empty
+// clusters. It threads the final assignment and WCSS through instead of
+// re-deriving them with another full distance pass.
 func materialize(m *matrix, sc *scratch, k int, wcss float64) *Result {
 	remap := make([]int, k)
 	var kept [][]float64
@@ -628,30 +628,7 @@ func assignMatrix(m *matrix, centroids [][]float64, workers int) *Result {
 	for _, a := range sc.assign {
 		sc.sizes[a]++
 	}
-	wcss := m.cost(sc.minD)
-	// Compact away empty clusters so K reflects reality.
-	remap := make([]int, k)
-	var kept [][]float64
-	var keptSizes []int
-	for c := 0; c < k; c++ {
-		if sc.sizes[c] == 0 {
-			remap[c] = -1
-			continue
-		}
-		remap[c] = len(kept)
-		kept = append(kept, centroids[c])
-		keptSizes = append(keptSizes, sc.sizes[c])
-	}
-	for i := range sc.assign {
-		sc.assign[i] = remap[sc.assign[i]]
-	}
-	return &Result{
-		K:         len(kept),
-		Assign:    sc.assign,
-		Centroids: kept,
-		Sizes:     keptSizes,
-		WCSS:      wcss,
-	}
+	return materialize(m, sc, k, m.cost(sc.minD))
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting,
@@ -717,13 +694,6 @@ func sqDist(a, b []float64) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// BIC scores a clustering under the spherical-Gaussian model of Pelleg &
-// Moore (x-means), the criterion SimPoint 3.0 uses to pick k. Larger is
-// better.
-func BIC(points [][]float64, res *Result) float64 {
-	return bic(len(points), len(points[0]), res)
 }
 
 // bic is BIC for n points of dimension dim.

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,32 @@ func TestSubsamplingStillAssignsAllPoints(t *testing.T) {
 	if res.K != 3 {
 		t.Errorf("K = %d under subsampling", res.K)
 	}
+	// The re-assignment of the full set is checked against a brute-force
+	// pass; the bounded-vs-plain tests cannot catch an error here because
+	// both kernels share it.
+	sizes := make([]int, res.K)
+	var wcss float64
+	for i, p := range points {
+		best, bestD := 0, sqDist(p, res.Centroids[0])
+		for c := 1; c < res.K; c++ {
+			if d := sqDist(p, res.Centroids[c]); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		if res.Assign[i] != best {
+			t.Fatalf("point %d assigned to %d, nearest centroid is %d", i, res.Assign[i], best)
+		}
+		sizes[best]++
+		wcss += bestD
+	}
+	if !slices.Equal(res.Sizes, sizes) {
+		t.Errorf("Sizes = %v, counted %v", res.Sizes, sizes)
+	}
+	// The kernel uses the expanded form ‖x‖² − 2·x·c + ‖c‖², so the sums
+	// agree to rounding, not bit for bit.
+	if math.Abs(res.WCSS-wcss) > 1e-9*wcss {
+		t.Errorf("WCSS = %v, recomputed %v", res.WCSS, wcss)
+	}
 }
 
 func TestBICPrefersTrueK(t *testing.T) {
@@ -195,7 +222,7 @@ func TestBICPrefersTrueK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := BIC(points, res)
+		b := bic(len(points), len(points[0]), res)
 		if b > bestBIC {
 			bestK, bestBIC = res.K, b
 		}

@@ -242,24 +242,10 @@ func (s *Span) End() {
 	}
 }
 
-// Progress emits one progress event to the globally Enabled sinks. Cheap
-// when disabled (one atomic load, no clock). Pipeline stages that hold a
-// context should prefer ProgressCtx so scoped (per-job) sinks see the
-// event too.
-func Progress(stage string, done, total int, msg string) {
-	t := active.Load()
-	if t == nil {
-		return
-	}
-	ev := ProgressEvent{Time: time.Now(), Stage: stage, Done: done, Total: total, Msg: msg}
-	for _, s := range t.sinks {
-		s.Progress(ev)
-	}
-}
-
-// ProgressCtx is Progress for context-holding call sites: the event reaches
-// the global sinks and any sinks scoped onto ctx with WithSink, so a
-// daemon job's live feed sees the same stream a CLI run narrates.
+// ProgressCtx emits one progress event. It reaches the globally Enabled
+// sinks and any sinks scoped onto ctx with WithSink, so a daemon job's live
+// feed sees the same stream a CLI run narrates. Cheap when nothing listens
+// (atomic loads, no clock).
 func ProgressCtx(ctx context.Context, stage string, done, total int, msg string) {
 	t := active.Load()
 	var sc *scope
@@ -273,20 +259,9 @@ func ProgressCtx(ctx context.Context, stage string, done, total int, msg string)
 	deliverProgress(t, sc, ev)
 }
 
-// Headerf emits the run header — the one-line "what is this run" summary
-// (scale, slice length, MaxK, workers, seed) sinks show before any work.
-func Headerf(format string, args ...interface{}) {
-	t := active.Load()
-	if t == nil {
-		return
-	}
-	ev := ProgressEvent{Time: time.Now(), Stage: "run", Msg: fmt.Sprintf(format, args...)}
-	for _, s := range t.sinks {
-		s.Progress(ev)
-	}
-}
-
-// HeaderfCtx is Headerf for context-holding call sites; see ProgressCtx.
+// HeaderfCtx emits the run header — the one-line "what is this run" summary
+// (scale, slice length, MaxK, workers, seed) sinks show before any work —
+// to the same sinks as ProgressCtx.
 func HeaderfCtx(ctx context.Context, format string, args ...interface{}) {
 	t := active.Load()
 	var sc *scope

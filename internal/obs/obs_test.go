@@ -57,8 +57,8 @@ func TestDisabledStartIsNoop(t *testing.T) {
 	// All nil-span methods must be safe.
 	sp.Annotate(Int("k", 1))
 	sp.End()
-	Progress("stage", 1, 2, "msg")
-	Headerf("header %d", 1)
+	ProgressCtx(context.Background(), "stage", 1, 2, "msg")
+	HeaderfCtx(context.Background(), "header %d", 1)
 }
 
 func TestSpanTreeParentLinks(t *testing.T) {
@@ -117,8 +117,8 @@ func TestSpanEndIdempotent(t *testing.T) {
 
 func TestProgressAndHeader(t *testing.T) {
 	sink := withSink(t)
-	Headerf("scale=%s workers=%d", "small", 4)
-	Progress("analyze", 2, 6, "505.mcf_r")
+	HeaderfCtx(context.Background(), "scale=%s workers=%d", "small", 4)
+	ProgressCtx(context.Background(), "analyze", 2, 6, "505.mcf_r")
 	if len(sink.progress) != 2 {
 		t.Fatalf("got %d events, want 2", len(sink.progress))
 	}
@@ -195,7 +195,7 @@ func TestJSONLSinkValidTree(t *testing.T) {
 	p.End()
 	_, cl := Start(ctx, "cluster")
 	cl.End()
-	Progress("analyze", 1, 1, "b")
+	ProgressCtx(context.Background(), "analyze", 1, 1, "b")
 	root.End()
 	if err := Disable(); err != nil {
 		t.Fatal(err)
@@ -244,8 +244,8 @@ func TestNarratorFormat(t *testing.T) {
 	n := NewNarrator(&buf)
 	Enable(n)
 	defer Disable()
-	Headerf("scale=small")
-	Progress("analyze", 3, 6, "505.mcf_r")
+	HeaderfCtx(context.Background(), "scale=small")
+	ProgressCtx(context.Background(), "analyze", 3, 6, "505.mcf_r")
 	out := buf.String()
 	if !strings.Contains(out, "run scale=small") {
 		t.Errorf("header line missing: %q", out)

@@ -61,7 +61,7 @@ func TestScopedAndGlobalSinksBothDeliver(t *testing.T) {
 	sp.End()
 	ProgressCtx(ctx, "stage", 0, 0, "msg")
 	// An unscoped emission reaches only the global sink.
-	Progress("global-only", 0, 0, "msg")
+	ProgressCtx(context.Background(), "global-only", 0, 0, "msg")
 
 	if len(global.spans) != 1 || len(global.progress) != 2 {
 		t.Errorf("global sink saw %d spans / %d events, want 1 / 2", len(global.spans), len(global.progress))

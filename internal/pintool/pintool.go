@@ -80,10 +80,6 @@ func (t *BBProfile) OnBlock(b *isa.Block, _ int) {
 	t.collector.Observe(b)
 }
 
-// PendingInstrs returns the instruction count accumulated since the last
-// cut.
-func (t *BBProfile) PendingInstrs() uint64 { return t.collector.SliceInstrs() }
-
 // CutSlice finishes the current slice. Cutting with no accumulated
 // instructions is a no-op.
 func (t *BBProfile) CutSlice() {

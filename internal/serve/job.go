@@ -131,14 +131,14 @@ type Job struct {
 	finished time.Time
 }
 
-func newJob(id, key, client, trace string, req JobRequest, eventCap int) *Job {
+func newJob(id, key, client, trace string, req JobRequest) *Job {
 	return &Job{
 		id:      id,
 		key:     key,
 		req:     req,
 		client:  client,
 		trace:   trace,
-		events:  newEventLog(eventCap),
+		events:  newEventLog(eventBuffer),
 		state:   StateQueued,
 		created: time.Now(),
 	}
@@ -247,10 +247,10 @@ type eventLog struct {
 	change  chan struct{} // closed and replaced on every append/close
 }
 
+// eventBuffer bounds each job's retained event lines.
+const eventBuffer = 4096
+
 func newEventLog(max int) *eventLog {
-	if max <= 0 {
-		max = 4096
-	}
 	return &eventLog{max: max, change: make(chan struct{})}
 }
 

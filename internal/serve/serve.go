@@ -74,8 +74,6 @@ type Config struct {
 	// MaxPerClient bounds one client's live (queued or running) jobs
 	// (default 16); submissions beyond it are shed with 503.
 	MaxPerClient int
-	// EventBuffer bounds each job's retained event lines (default 4096).
-	EventBuffer int
 	// AccessLog, when non-nil, receives one structured line per completed
 	// request. The sink is the caller's to close (after the HTTP server has
 	// shut down); the Server only writes to it.
@@ -97,9 +95,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MaxPerClient <= 0 {
 		c.MaxPerClient = 16
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 4096
 	}
 	if c.StatsInterval <= 0 {
 		c.StatsInterval = time.Second
@@ -281,7 +276,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	job := newJob(fmt.Sprintf("j%06d", s.seq), key, client, traceFrom(r.Context()), req, s.cfg.EventBuffer)
+	job := newJob(fmt.Sprintf("j%06d", s.seq), key, client, traceFrom(r.Context()), req)
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
 	s.byKey[key] = job

@@ -491,7 +491,7 @@ func TestRollbackSplicesOwnID(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		srv.seq++
-		j := newJob(fmt.Sprintf("j%06d", srv.seq), req.key(), client, "", req, srv.cfg.EventBuffer)
+		j := newJob(fmt.Sprintf("j%06d", srv.seq), req.key(), client, "", req)
 		srv.jobs[j.id] = j
 		srv.order = append(srv.order, j.id)
 		srv.byKey[j.key] = j

@@ -185,7 +185,7 @@ var (
 // probe publishes the server's own health gauges: jobs by live state,
 // clients with live jobs, and the total event-log lines dropped to
 // overflow across all jobs (dashboards alert on this growing — it means a
-// consumer is falling behind the EventBuffer).
+// consumer is falling behind the eventBuffer).
 func (s *Server) probe() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // WeightedMean returns the weight-normalised mean of values. It is the
@@ -112,56 +111,6 @@ func RelErrorPct(measured, reference float64) float64 {
 	return math.Abs(measured-reference) / math.Abs(reference) * 100
 }
 
-// DiffPct returns the signed percentage difference of measured relative to
-// reference: positive when the measurement overshoots. Same zero-reference
-// convention as RelErrorPct.
-func DiffPct(measured, reference float64) float64 {
-	if reference == 0 {
-		if measured == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (measured - reference) / math.Abs(reference) * 100
-}
-
-// MeanAbsError returns the mean absolute error between two equal-length
-// series.
-func MeanAbsError(measured, reference []float64) float64 {
-	if len(measured) != len(reference) {
-		panic(fmt.Sprintf("stats: %d measured vs %d reference", len(measured), len(reference)))
-	}
-	if len(measured) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range measured {
-		sum += math.Abs(measured[i] - reference[i])
-	}
-	return sum / float64(len(measured))
-}
-
-// MeanRelErrorPct returns the mean of per-element relative errors (percent),
-// skipping elements whose reference is zero.
-func MeanRelErrorPct(measured, reference []float64) float64 {
-	if len(measured) != len(reference) {
-		panic(fmt.Sprintf("stats: %d measured vs %d reference", len(measured), len(reference)))
-	}
-	var sum float64
-	var n int
-	for i := range measured {
-		if reference[i] == 0 {
-			continue
-		}
-		sum += RelErrorPct(measured[i], reference[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Pearson returns the Pearson correlation coefficient between two
 // equal-length series, or 0 when either series is constant.
 func Pearson(xs, ys []float64) float64 {
@@ -183,78 +132,4 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Percentile returns the p-th percentile (0..100) of values using linear
-// interpolation between order statistics. It copies its input.
-//
-// NaN values are filtered out before sorting: sort.Float64s leaves NaNs in
-// unspecified positions, so keeping them would make the result depend on
-// the input order (and often be NaN-adjacent garbage). If every value is
-// NaN the result is NaN — an explicit propagation the caller can detect —
-// while empty input keeps returning 0.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := make([]float64, 0, len(values))
-	for _, v := range values {
-		if !math.IsNaN(v) {
-			sorted = append(sorted, v)
-		}
-	}
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of positive values; non-positive
-// values are skipped. Returns 0 when no positive value exists.
-func GeoMean(values []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range values {
-		if v <= 0 {
-			continue
-		}
-		sum += math.Log(v)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Normalize scales weights so they sum to 1. A zero vector is returned
-// unchanged. The input is not modified.
-func Normalize(weights []float64) []float64 {
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	out := make([]float64, len(weights))
-	if sum == 0 {
-		copy(out, weights)
-		return out
-	}
-	for i, w := range weights {
-		out[i] = w / sum
-	}
-	return out
 }

@@ -111,35 +111,6 @@ func TestRelErrorPct(t *testing.T) {
 	}
 }
 
-func TestDiffPctSign(t *testing.T) {
-	if got := DiffPct(110, 100); !approx(got, 10, 1e-12) {
-		t.Errorf("DiffPct = %v", got)
-	}
-	if got := DiffPct(90, 100); !approx(got, -10, 1e-12) {
-		t.Errorf("DiffPct = %v", got)
-	}
-}
-
-func TestMeanAbsError(t *testing.T) {
-	got := MeanAbsError([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if !approx(got, 1, 1e-12) {
-		t.Errorf("MeanAbsError = %v", got)
-	}
-	if MeanAbsError(nil, nil) != 0 {
-		t.Error("empty MAE should be 0")
-	}
-}
-
-func TestMeanRelErrorPctSkipsZeroRef(t *testing.T) {
-	got := MeanRelErrorPct([]float64{110, 5}, []float64{100, 0})
-	if !approx(got, 10, 1e-12) {
-		t.Errorf("MeanRelErrorPct = %v, want 10 (zero ref skipped)", got)
-	}
-	if MeanRelErrorPct([]float64{1}, []float64{0}) != 0 {
-		t.Error("all-zero refs should give 0")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -171,117 +142,6 @@ func TestPearsonBounds(t *testing.T) {
 		}
 		r := Pearson(xs, ys)
 		return r >= -1.0000001 && r <= 1.0000001
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4},
-	}
-	for _, c := range cases {
-		if got := Percentile(vals, c.p); !approx(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
-// TestPercentileNaN regresses the order-dependent-garbage bug: sort.Float64s
-// leaves NaNs in unspecified positions, so before NaN filtering the result
-// of Percentile depended on where the NaNs happened to land in the input.
-func TestPercentileNaN(t *testing.T) {
-	nan := math.NaN()
-	// Every permutation of NaN placement must yield the NaN-free answer.
-	perms := [][]float64{
-		{nan, 1, 2, 3, 4, 5},
-		{1, 2, nan, 3, 4, 5},
-		{1, 2, 3, 4, 5, nan},
-		{nan, 5, nan, 3, 1, 4, 2, nan},
-	}
-	for _, vals := range perms {
-		for _, p := range []float64{0, 25, 50, 75, 100} {
-			want := Percentile([]float64{1, 2, 3, 4, 5}, p)
-			if got := Percentile(vals, p); !approx(got, want, 1e-12) {
-				t.Errorf("Percentile(%v, %v) = %v, want %v (NaNs must be filtered)", vals, p, got, want)
-			}
-		}
-	}
-	// All-NaN input propagates NaN explicitly rather than returning a
-	// position-dependent value.
-	if got := Percentile([]float64{nan, nan}, 50); !math.IsNaN(got) {
-		t.Errorf("Percentile(all NaN) = %v, want NaN", got)
-	}
-	// A single finite value among NaNs is that value at every percentile.
-	for _, p := range []float64{0, 50, 100} {
-		if got := Percentile([]float64{nan, 7, nan}, p); got != 7 {
-			t.Errorf("Percentile([NaN 7 NaN], %v) = %v, want 7", p, got)
-		}
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	vals := []float64{3, 1, 2}
-	Percentile(vals, 50)
-	if vals[0] != 3 || vals[1] != 1 || vals[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !approx(got, 10, 1e-9) {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	if got := GeoMean([]float64{2, 8, -1, 0}); !approx(got, 4, 1e-9) {
-		t.Errorf("GeoMean skipping nonpositive = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{-1}) != 0 {
-		t.Error("degenerate GeoMean should be 0")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	w := Normalize([]float64{1, 3})
-	if !approx(w[0], 0.25, 1e-12) || !approx(w[1], 0.75, 1e-12) {
-		t.Errorf("Normalize = %v", w)
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize of zeros = %v", zero)
-	}
-	orig := []float64{2, 2}
-	Normalize(orig)
-	if orig[0] != 2 {
-		t.Error("Normalize mutated input")
-	}
-}
-
-func TestNormalizeSumsToOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		w := make([]float64, 0, len(raw))
-		var sum float64
-		for _, v := range raw {
-			v = math.Abs(v)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v > 1e12 {
-				return true
-			}
-			w = append(w, v)
-			sum += v
-		}
-		if sum == 0 {
-			return true
-		}
-		out := Normalize(w)
-		var s float64
-		for _, v := range out {
-			s += v
-		}
-		return approx(s, 1, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -118,26 +118,3 @@ func StackedBar(weights []float64, width int) string {
 	}
 	return b.String()
 }
-
-// Series renders (x, y) pairs as a compact one-line-per-point plot with a
-// proportional bar, used for sweep figures.
-func Series(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		panic(fmt.Sprintf("textplot: %d labels vs %d values", len(labels), len(values)))
-	}
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		fmt.Fprintf(&b, "%-*s %10.4g |%s\n", maxL, labels[i], v, Bar(v, maxV, width))
-	}
-	return b.String()
-}

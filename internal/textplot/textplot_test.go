@@ -82,23 +82,3 @@ func TestStackedBarTinyWeightsSkipped(t *testing.T) {
 		t.Errorf("overflow: %q", out)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	out := Series([]string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	if !strings.Contains(lines[1], "##########") {
-		t.Errorf("max value should fill the width: %q", lines[1])
-	}
-}
-
-func TestSeriesPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Series([]string{"a"}, []float64{1, 2}, 10)
-}

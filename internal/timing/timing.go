@@ -137,14 +137,6 @@ func (c Counters) CPI() float64 {
 	return c.Cycles / float64(c.Instructions)
 }
 
-// SecondsAt returns wall-clock seconds at the given core frequency.
-func (c Counters) SecondsAt(ghz float64) float64 {
-	if ghz <= 0 {
-		return 0
-	}
-	return c.Cycles / (ghz * 1e9)
-}
-
 // Core is the timing model. Attach it to a pin.Engine (it implements
 // BlockTool, MemTool, BranchTool and FetchTool) or pass it to
 // pinball.Replay.

@@ -204,10 +204,4 @@ func TestCountersHelpers(t *testing.T) {
 	if c.CPI() != 1.5 {
 		t.Errorf("CPI = %v", c.CPI())
 	}
-	if s := c.SecondsAt(3.0); s != 1500/3e9 {
-		t.Errorf("SecondsAt = %v", s)
-	}
-	if c.SecondsAt(0) != 0 {
-		t.Error("zero frequency should give 0 seconds")
-	}
 }
