@@ -62,6 +62,7 @@ race:
 racesmoke:
 	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|FuzzBoundedMatchesPlain' ./internal/kmeans
 	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute|TestFig12NativeServedFromStore' ./internal/experiments
+	$(GO) test -race -run 'TestWarmSelectionMatchesColdConcurrently' ./internal/core
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched
 	$(GO) test -race -run 'TestJSONLSinkConcurrentJobsDoNotTearLines|TestScopedSinksReceiveOnlyTheirJob|TestHistogramConcurrentObserve' ./internal/obs
@@ -169,7 +170,9 @@ servesmoke:
 ## served from the store (store.hit > 0 in the metrics dump) and print
 ## byte-identical results (the wall-clock "completed in" line excluded).
 ## fig12's native reference is a stored artifact, so its cold run traces
-## a "native" span and its warm run none.
+## a "native" span and its warm run none. Neither warm run selects, so each
+## reads the profile checkpoints and no basic-block vectors: its trace has
+## a store.get of kind profile and none of kind bbv.
 cachesmoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	trap 'rm -rf "$$dir"' EXIT; \
@@ -184,9 +187,13 @@ cachesmoke:
 		done; \
 		cmp "$$dir/$$run.cold.cmp" "$$dir/$$run.warm.cmp"; \
 		grep -A4 '"store.hit"' "$$dir/$$run.warm.metrics" | grep -q '"value"'; \
+		grep '"name":"store.get"' "$$dir/$$run.warm.trace" | grep -q '"kind":"profile"' \
+			|| { echo "cachesmoke: warm $$run read no profile"; exit 1; }; \
+		! grep '"name":"store.get"' "$$dir/$$run.warm.trace" | grep -q '"kind":"bbv"' \
+			|| { echo "cachesmoke: warm $$run read basic-block vectors"; exit 1; }; \
 	done; \
 	grep -q '"name":"native"' "$$dir/fig12.cold.trace" \
 		|| { echo "cachesmoke: cold fig12 ran no native pass"; exit 1; }; \
 	! grep -q '"name":"native"' "$$dir/fig12.warm.trace" \
 		|| { echo "cachesmoke: warm fig12 re-ran the native pass"; exit 1; }; \
-	echo "cachesmoke: warm tableII and fig12 byte-identical and served from the store"
+	echo "cachesmoke: warm tableII and fig12 byte-identical, served from the store without vectors"

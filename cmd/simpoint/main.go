@@ -65,7 +65,11 @@ func run(ctx context.Context, args []string) error {
 	res := an.Result
 	if *weighted {
 		// Recluster with the configuration the pipeline resolved and echoed.
-		res, err = simpoint.ClusterWeighted(an.Prog.Name, an.Slices, an.TotalInstrs, res.Config)
+		slices, err := an.BBVSlices(ctx)
+		if err != nil {
+			return err
+		}
+		res, err = simpoint.ClusterWeighted(an.Prog.Name, slices, an.TotalInstrs, res.Config)
 		if err != nil {
 			return err
 		}

@@ -78,6 +78,10 @@ func phasesCmd(ctx context.Context, args []string) error {
 
 	// Re-assign every slice to its nearest simulation-point cluster by
 	// projecting its BBV the same way the clustering did.
+	slices, err := an.BBVSlices(ctx)
+	if err != nil {
+		return err
+	}
 	echo := an.Result.Config
 	proj, err := bbv.NewProjector(an.Prog.NumBlocks(), echo.ProjectDims, echo.Seed)
 	if err != nil {
@@ -85,12 +89,12 @@ func phasesCmd(ctx context.Context, args []string) error {
 	}
 	centroids := make([][]float64, len(an.Result.Points))
 	for i, pt := range an.Result.Points {
-		v := append([]float64(nil), an.Slices[pt.SliceIndex].BBV...)
+		v := append([]float64(nil), slices[pt.SliceIndex].BBV...)
 		bbv.NormalizeL1(v)
 		centroids[i] = proj.Project(v)
 	}
-	assign := make([]int, len(an.Slices))
-	for i, s := range an.Slices {
+	assign := make([]int, len(slices))
+	for i, s := range slices {
 		v := append([]float64(nil), s.BBV...)
 		bbv.NormalizeL1(v)
 		p := proj.Project(v)

@@ -10,9 +10,12 @@
 // A session:
 //
 //	curl -d '{"run":"fig4","scale":"small"}' localhost:8742/v1/jobs
-//	curl localhost:8742/v1/jobs/j000001                # status
-//	curl localhost:8742/v1/jobs/j000001/events         # live JSONL progress
-//	curl localhost:8742/v1/jobs/j000001/result         # report JSON
+//	curl localhost:8742/v1/jobs/j3f9a01c2-000001         # status
+//	curl localhost:8742/v1/jobs/j3f9a01c2-000001/events  # live JSONL progress
+//	curl localhost:8742/v1/jobs/j3f9a01c2-000001/result  # report JSON
+//
+// Job ids are j<per-boot nonce>-<sequence>: an id issued before a restart
+// is unknown (404) to the next process, never another client's job.
 //
 // The result bytes are byte-identical to `experiments -run fig4 -scale
 // small -json FILE` against the same store. Identical submissions dedup to

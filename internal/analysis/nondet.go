@@ -27,7 +27,6 @@ var kernelPackages = map[string]bool{
 	"pintool":  true,
 	"pin":      true,
 	"program":  true,
-	"trace":    true,
 	"workload": true,
 }
 

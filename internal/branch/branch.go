@@ -83,17 +83,6 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // ResetStats zeroes counters without forgetting learned state.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
-// Predict returns the current prediction for the branch at pc without
-// updating any state.
-func (p *Predictor) Predict(pc uint64) bool {
-	gi := (pc ^ p.history) & p.mask
-	bi := pc & p.mask
-	if p.chooser[bi] >= 2 {
-		return p.gshare[gi] >= 2
-	}
-	return p.bimodal[bi] >= 2
-}
-
 // Access predicts the branch at pc, trains on the resolved direction, and
 // reports whether the prediction was wrong.
 func (p *Predictor) Access(pc uint64, taken bool) (mispredicted bool) {

@@ -87,19 +87,6 @@ func TestBiasedBranchRate(t *testing.T) {
 	}
 }
 
-func TestPredictDoesNotMutate(t *testing.T) {
-	p, _ := New(DefaultConfig())
-	for i := 0; i < 100; i++ {
-		p.Access(0x400, true)
-	}
-	before := p.Stats()
-	p.Predict(0x400)
-	p.Predict(0x999)
-	if p.Stats() != before {
-		t.Error("Predict changed statistics")
-	}
-}
-
 func TestStatsHelpers(t *testing.T) {
 	var s Stats
 	if s.Rate() != 0 || s.MPKI(1000) != 0 {

@@ -18,6 +18,7 @@ import (
 	"specsampling/internal/obs"
 	"specsampling/internal/pinball"
 	"specsampling/internal/program"
+	"specsampling/internal/sched"
 	"specsampling/internal/selector"
 	"specsampling/internal/simpoint"
 	"specsampling/internal/store"
@@ -110,12 +111,21 @@ func (c Config) selectorFor() (selector.Selector, error) {
 	return selector.ByName(c.Normalize().Selector)
 }
 
-// profileArtifact is the persisted form of the profile stage: the slices
-// (with their per-slice checkpoints) and the whole-run instruction count.
-// Each slice is stored in simpoint.Slice's compact binary form.
+// profileArtifact is the persisted form of the profile stage's
+// checkpoints: the slices, written with nil BBVs so that a warm job that
+// only cuts pinballs decodes no vectors, and the whole-run instruction
+// count. A slice that carries a BBV still decodes into it. Each slice is
+// stored in simpoint.Slice's compact binary form.
 type profileArtifact struct {
 	Slices      []simpoint.Slice
 	TotalInstrs uint64
+}
+
+// bbvArtifact is the persisted form of the profile stage's basic-block
+// vectors, one per slice in slice order, each in simpoint.BBV's sparse
+// binary form. Only selection reads it (see Analysis.BBVSlices).
+type bbvArtifact struct {
+	BBVs []simpoint.BBV
 }
 
 // ProfileKey is the store key of the benchmark's profile stage at this
@@ -131,6 +141,14 @@ func (c Config) ProfileKey(bench string) store.Key {
 		fmt.Sprintf("div=%d", c.Scale.Div),
 		fmt.Sprintf("slice=%d", c.sliceLen()),
 	}}
+}
+
+// BBVKey is the store key of the profile stage's basic-block vectors: the
+// ProfileKey under kind "bbv", since the same profiling pass produces both.
+func (c Config) BBVKey(bench string) store.Key {
+	k := c.ProfileKey(bench)
+	k.Kind = "bbv"
+	return k
 }
 
 // clusterKeyVersion salts ClusterKey. Bumped to 2 with the RegionSelector
@@ -174,6 +192,12 @@ type Analysis struct {
 	TotalInstrs uint64
 	// Result is the configured selector's region selection.
 	Result *simpoint.Result
+
+	// st is the store the analysis was read from; BBVSlices loads the
+	// vectors from it when Slices were served without them.
+	st *store.Store
+	// bbvs caches BBVSlices' one successful load.
+	bbvs sched.Group[struct{}, []simpoint.Slice]
 }
 
 // Analyze builds the benchmark at the configured scale, profiles it, and
@@ -209,7 +233,9 @@ func AnalyzeStored(ctx context.Context, spec workload.Spec, cfg Config, st *stor
 // singleflight layer is the caller's, e.g. experiments.Runner); computed
 // stages are persisted even when the run is being cancelled, so an
 // interrupted suite resumes from the last completed stage rather than the
-// last completed benchmark.
+// last completed benchmark. A profile hit serves the checkpoints alone;
+// the basic-block vectors are read only if the cluster stage misses and
+// must select.
 func analyzeProgram(ctx context.Context, spec workload.Spec, prog *program.Program, cfg Config, st *store.Store) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -220,35 +246,20 @@ func analyzeProgram(ctx context.Context, spec workload.Spec, prog *program.Progr
 	}
 	scfg := cfg.selectorConfig()
 
-	var slices []simpoint.Slice
-	var total uint64
-	pkey := cfg.ProfileKey(spec.Name)
+	a := &Analysis{Spec: spec, Prog: prog, Config: cfg, st: st}
 	var prof profileArtifact
-	if st.Get(ctx, pkey, &prof) {
-		slices, total = prof.Slices, prof.TotalInstrs
-	} else {
-		pctx, pspan := obs.Start(ctx, "profile", obs.Uint64("slice_len", scfg.SliceLen))
-		var err error
-		slices, total, err = simpoint.Profile(prog, scfg.SliceLen)
-		if err != nil {
-			pspan.End()
-			return nil, fmt.Errorf("core: profile %s: %w", spec.Name, err)
-		}
-		pspan.Annotate(obs.Int("slices", len(slices)), obs.Uint64("instrs", total))
-		pspan.End()
-		// Persist before honouring cancellation: a failed cache write must
-		// not fail the pipeline, and a completed stage should survive an
-		// interrupt that arrives while it is being written.
-		_ = st.Put(ctx, pkey, profileArtifact{Slices: slices, TotalInstrs: total})
-		if err := pctx.Err(); err != nil {
-			return nil, err
-		}
+	if st.Get(ctx, cfg.ProfileKey(spec.Name), &prof) {
+		a.Slices, a.TotalInstrs = prof.Slices, prof.TotalInstrs
+	} else if a.Slices, a.TotalInstrs, err = a.profile(ctx); err != nil {
+		return nil, err
 	}
+	// The profile was persisted before this check: a failed cache write
+	// must not fail the pipeline, and a completed stage should survive an
+	// interrupt that arrives while it is being written.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	var res *simpoint.Result
 	ckey := cfg.ClusterKey(spec.Name)
 	var stored simpoint.Result
 	if st.Get(ctx, ckey, &stored) {
@@ -256,27 +267,77 @@ func analyzeProgram(ctx context.Context, spec workload.Spec, prog *program.Progr
 		// this call's config (the only field that may differ is the
 		// non-semantic worker budget, which is excluded from the key).
 		stored.Config = sel.EchoConfig(scfg)
-		res = &stored
-	} else {
-		cctx, cspan := obs.Start(ctx, "cluster", obs.String("selector", sel.Name()))
-		res, err = sel.Select(cctx, prog.Name, slices, total, scfg)
-		if err != nil {
-			cspan.End()
-			return nil, fmt.Errorf("core: select %s: %w", spec.Name, err)
-		}
-		cspan.Annotate(obs.Int("k", res.NumPoints()))
-		cspan.End()
-		_ = st.Put(ctx, ckey, res)
+		a.Result = &stored
+		return a, nil
 	}
+	slices, err := a.BBVSlices(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cctx, cspan := obs.Start(ctx, "cluster", obs.String("selector", sel.Name()))
+	a.Result, err = sel.Select(cctx, prog.Name, slices, a.TotalInstrs, scfg)
+	if err != nil {
+		cspan.End()
+		return nil, fmt.Errorf("core: select %s: %w", spec.Name, err)
+	}
+	cspan.Annotate(obs.Int("k", a.Result.NumPoints()))
+	cspan.End()
+	_ = st.Put(ctx, ckey, a.Result)
+	return a, nil
+}
 
-	return &Analysis{
-		Spec:        spec,
-		Prog:        prog,
-		Config:      cfg,
-		Slices:      slices,
-		TotalInstrs: total,
-		Result:      res,
-	}, nil
+// profile runs the profile stage under a "profile" span and persists its
+// two artifacts, the checkpoints and the vectors, to a.st. It returns the
+// slices with their BBVs. With no store nothing is copied.
+func (a *Analysis) profile(ctx context.Context) ([]simpoint.Slice, uint64, error) {
+	sliceLen := a.Config.selectorConfig().SliceLen
+	_, span := obs.Start(ctx, "profile", obs.Uint64("slice_len", sliceLen))
+	slices, total, err := simpoint.Profile(a.Prog, sliceLen)
+	if err != nil {
+		span.End()
+		return nil, 0, fmt.Errorf("core: profile %s: %w", a.Spec.Name, err)
+	}
+	span.Annotate(obs.Int("slices", len(slices)), obs.Uint64("instrs", total))
+	span.End()
+	if a.st != nil {
+		checkpoints := make([]simpoint.Slice, len(slices))
+		vectors := make([]simpoint.BBV, len(slices))
+		for i, s := range slices {
+			vectors[i] = s.BBV
+			s.BBV = nil
+			checkpoints[i] = s
+		}
+		_ = a.st.Put(ctx, a.Config.ProfileKey(a.Spec.Name), profileArtifact{Slices: checkpoints, TotalInstrs: total})
+		_ = a.st.Put(ctx, a.Config.BBVKey(a.Spec.Name), bbvArtifact{BBVs: vectors})
+	}
+	return slices, total, nil
+}
+
+// BBVSlices returns the profiled slices with their basic-block vectors, the
+// input of selection. When Slices already carry them (a cold analysis, a
+// nil store, a profile read from an entry that holds them) it returns
+// Slices as they are. Otherwise it loads the vectors once from the store's
+// bbv artifact; if that entry is missing or corrupt it re-runs the
+// deterministic profile and puts both artifacts back. The result is a new
+// slice header over copies of Slices, so Slices itself never changes and
+// concurrent readers of it need no lock; concurrent callers share one load,
+// and a failed load is retried by the next call.
+func (a *Analysis) BBVSlices(ctx context.Context) ([]simpoint.Slice, error) {
+	if len(a.Slices) == 0 || a.Slices[0].BBV != nil {
+		return a.Slices, nil
+	}
+	return a.bbvs.Do(ctx, struct{}{}, func() ([]simpoint.Slice, error) {
+		var art bbvArtifact
+		if a.st.Get(ctx, a.Config.BBVKey(a.Spec.Name), &art) && len(art.BBVs) == len(a.Slices) {
+			slices := append([]simpoint.Slice(nil), a.Slices...)
+			for i := range slices {
+				slices[i].BBV = art.BBVs[i]
+			}
+			return slices, nil
+		}
+		slices, _, err := a.profile(ctx)
+		return slices, err
+	})
 }
 
 // CacheConfig returns the paper's Table I allcache hierarchy scaled to this
@@ -304,10 +365,14 @@ func (a *Analysis) SelectWith(ctx context.Context, cfg Config) (*simpoint.Result
 	if err != nil {
 		return nil, err
 	}
+	slices, err := a.BBVSlices(ctx)
+	if err != nil {
+		return nil, err
+	}
 	ctx, span := obs.Start(ctx, "cluster",
 		obs.String("bench", a.Prog.Name), obs.String("selector", sel.Name()))
 	defer span.End()
-	return sel.Select(ctx, a.Prog.Name, a.Slices, a.TotalInstrs, cfg.selectorConfig())
+	return sel.Select(ctx, a.Prog.Name, slices, a.TotalInstrs, cfg.selectorConfig())
 }
 
 // Recluster re-runs the selection step of an existing analysis with a
@@ -327,10 +392,14 @@ func (a *Analysis) VarianceSweep(ctx context.Context, ks []int) (map[int]float64
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	slices, err := a.BBVSlices(ctx)
+	if err != nil {
+		return nil, err
+	}
 	_, span := obs.Start(ctx, "variance_sweep",
 		obs.String("bench", a.Prog.Name), obs.Int("ks", len(ks)))
 	defer span.End()
-	return simpoint.VarianceSweep(a.Slices, ks, selector.SimPointParams(a.Config.selectorConfig()))
+	return simpoint.VarianceSweep(slices, ks, selector.SimPointParams(a.Config.selectorConfig()))
 }
 
 // WholePinball returns the whole-execution checkpoint, sized to the

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -26,6 +28,18 @@ type JobRequest struct {
 	Selector string `json:"selector,omitempty"`
 	// Repeats is the shoot-out repeated-subsampling count; 0 means default.
 	Repeats int `json:"repeats,omitempty"`
+}
+
+// decodeRequest parses a submit body: one JSON object with no unknown
+// fields. validate checks what it holds.
+func decodeRequest(body io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("serve: decode request: %w", err)
+	}
+	return req, nil
 }
 
 // validate resolves and checks every field, returning the normalized

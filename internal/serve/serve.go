@@ -31,6 +31,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -118,6 +120,7 @@ type Server struct {
 	order     []string        // ids in submission order
 	byKey     map[string]*Job // dedup index: config digest → live/done job
 	perClient map[string]int  // live (queued+running) jobs per client
+	boot      string          // per-boot id prefix; see nextID
 	seq       int
 }
 
@@ -130,8 +133,13 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("serve: Config.Store is required")
 	}
+	var nonce [4]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("serve: boot nonce: %w", err)
+	}
 	s := &Server{
 		cfg:       cfg,
+		boot:      hex.EncodeToString(nonce[:]),
 		queue:     sched.NewQueue(ctx, cfg.JobWorkers, cfg.QueueDepth),
 		started:   time.Now(),
 		closing:   make(chan struct{}),
@@ -238,16 +246,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	var req JobRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err),
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err,
 			`body is JSON like {"run":"fig4","scale":"small","selector":"simpoint"}`)
 		return
 	}
-	req, _, err := req.validate()
+	req, _, err = req.validate()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err, "")
 		return
@@ -275,8 +280,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"wait for a job to finish, or poll an existing job instead of resubmitting")
 		return
 	}
-	s.seq++
-	job := newJob(fmt.Sprintf("j%06d", s.seq), key, client, traceFrom(r.Context()), req)
+	job := newJob(s.nextID(), key, client, traceFrom(r.Context()), req)
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
 	s.byKey[key] = job
@@ -295,6 +299,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, job.status(false))
+}
+
+// nextID issues the next job id, j<boot nonce>-<sequence>. The sequence
+// restarts with every process, so the random per-boot nonce is what keeps
+// an id a client saved before a restart from naming a different job after
+// it. Must be called with mu held.
+func (s *Server) nextID() string {
+	s.seq++
+	return fmt.Sprintf("j%s-%06d", s.boot, s.seq)
 }
 
 // rollbackSubmit undoes a job's registration after its queue submission was

@@ -490,8 +490,7 @@ func TestRollbackSplicesOwnID(t *testing.T) {
 	register := func(req JobRequest, client string) *Job {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		srv.seq++
-		j := newJob(fmt.Sprintf("j%06d", srv.seq), req.key(), client, "", req)
+		j := newJob(srv.nextID(), req.key(), client, "", req)
 		srv.jobs[j.id] = j
 		srv.order = append(srv.order, j.id)
 		srv.byKey[j.key] = j
@@ -583,5 +582,50 @@ func TestEventsConcurrentReaders(t *testing.T) {
 	}
 	if st := waitDone(t, hts.URL, sub.ID); st.State != StateDone {
 		t.Fatalf("job failed: %s", st.Error)
+	}
+}
+
+// TestJobIDsUniqueAcrossRestarts: the sequence behind job ids restarts with
+// every process, so without the per-boot nonce a client holding an id from
+// before a restart would fetch whichever job the new process numbered the
+// same. Two servers over one store never issue the same id, and the second
+// answers the first's id with 404.
+func TestJobIDsUniqueAcrossRestarts(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	srv1, hts1 := newTestServer(t, ctx, Config{Store: st})
+	_, s1 := postJob(t, hts1.URL, "alice", JobRequest{Run: "tableI", Scale: "small"})
+	waitDone(t, hts1.URL, s1.ID)
+	srv1.Drain()
+
+	srv2, hts2 := newTestServer(t, ctx, Config{Store: st})
+	_, s2 := postJob(t, hts2.URL, "alice", JobRequest{Run: "tableIII", Scale: "small"})
+	if s1.ID == "" || s1.ID == s2.ID {
+		t.Fatalf("first boot issued %q, second boot %q; want distinct ids", s1.ID, s2.ID)
+	}
+	resp, err := http.Get(hts2.URL + "/v1/jobs/" + s1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("second boot answered the first boot's id %s with %d, want 404", s1.ID, resp.StatusCode)
+	}
+	waitDone(t, hts2.URL, s2.ID)
+
+	seen := map[string]bool{s1.ID: true, s2.ID: true}
+	for _, srv := range []*Server{srv1, srv2} {
+		srv.mu.Lock()
+		for i := 0; i < 1000; i++ {
+			id := srv.nextID()
+			if seen[id] {
+				t.Errorf("id %s issued twice", id)
+			}
+			seen[id] = true
+		}
+		srv.mu.Unlock()
 	}
 }

@@ -66,6 +66,65 @@ func FuzzSliceUnmarshal(f *testing.F) {
 	})
 }
 
+// FuzzBBVUnmarshal feeds arbitrary bytes to the BBV decoder, seeded with
+// real suite vectors. It must never panic, must allocate no more than the
+// bounded dense vector plus a few words per input byte, and every encoding
+// it accepts must re-encode to exactly the same bytes.
+func FuzzBBVUnmarshal(f *testing.F) {
+	seeds := []BBV{nil, {math.Copysign(0, -1), 0, 2}, make(BBV, 3)}
+	for _, name := range []string{"505.mcf_r", "541.leela_r"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		prog, err := spec.Build(workload.ScaleSmall)
+		if err != nil {
+			f.Fatal(err)
+		}
+		slices, _, err := Profile(prog, workload.ScaleSmall.SliceLen)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, s := range []Slice{slices[0], slices[len(slices)/2], slices[len(slices)-1]} {
+			seeds = append(seeds, s.BBV)
+		}
+	}
+	for _, v := range seeds {
+		b, err := v.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x00})
+
+	budget := func(n int) uint64 { return 8*maxBBVLen + 16*uint64(n) + 4096 }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var v BBV
+		err := v.UnmarshalBinary(data)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if len(v) > maxBBVLen {
+			t.Fatalf("%d bytes decoded to a %d-block BBV", len(data), len(v))
+		}
+		back, err := v.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted BBV fails to re-encode: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("round trip changed the encoding:\n in  %x\n out %x", data, back)
+		}
+	})
+}
+
 // TestSliceCodecRejects pins the decoder's refusals: each input is a
 // well-formed encoding with one defect.
 func TestSliceCodecRejects(t *testing.T) {

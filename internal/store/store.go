@@ -60,8 +60,9 @@ import (
 // whenever a pipeline change alters the bytes a stage produces for the same
 // configuration, or the encoding of a stored payload changes; every
 // existing cache entry then misses cleanly. v2: profile slices are stored
-// in simpoint.Slice's compact binary form.
-const Version = "specart-v2"
+// in simpoint.Slice's compact binary form. v3: the profile stage is split
+// into the checkpoint-only profile and the bbv vectors.
+const Version = "specart-v3"
 
 // Envelope framing: an 8-byte magic, the big-endian payload length, and the
 // CRC-64/ECMA of the payload, followed by the gob payload itself.

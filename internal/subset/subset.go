@@ -53,15 +53,6 @@ func (f Features) Vector() []float64 {
 	}
 }
 
-// featureNames labels Vector dimensions for reports.
-var featureNames = []string{
-	"NO_MEM", "MEM_R", "MEM_W", "MEM_RW",
-	"L1D miss", "L2 miss", "L3 miss", "branch MPKI", "CPI",
-}
-
-// FeatureNames returns the dimension labels of Features.Vector.
-func FeatureNames() []string { return append([]string(nil), featureNames...) }
-
 // Characterize measures one benchmark's feature vector at the given scale.
 // Cost is one whole-run execution with cache and timing models attached.
 func Characterize(spec workload.Spec, scale workload.Scale) (Features, error) {

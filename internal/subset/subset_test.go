@@ -52,13 +52,6 @@ func TestCharacterizeProducesSaneFeatures(t *testing.T) {
 	}
 }
 
-func TestVectorAndNamesAgree(t *testing.T) {
-	f := Features{Benchmark: "x"}
-	if len(f.Vector()) != len(FeatureNames()) {
-		t.Errorf("vector dims %d != names %d", len(f.Vector()), len(FeatureNames()))
-	}
-}
-
 func TestSubsetGroupsSimilarBenchmarks(t *testing.T) {
 	// Two compute-lean (leela_r / leela_s share a profile) and two
 	// pointer-chasing benchmarks: subsetting should need fewer groups than
