@@ -61,7 +61,7 @@ race:
 ## break. Far faster than `make race`; the full sweep remains available.
 racesmoke:
 	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|FuzzBoundedMatchesPlain' ./internal/kmeans
-	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute|TestFig12NativeServedFromStore' ./internal/experiments
+	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute|TestFig12NativeServedFromStore|TestLivePointsBitIdentical' ./internal/experiments
 	$(GO) test -race -run 'TestWarmSelectionMatchesColdConcurrently' ./internal/core
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball
 	$(GO) test -race -run 'TestForEachSharded|TestGroupDoCancelledComputerDoesNotPoisonWaiters|TestQueue' ./internal/sched
@@ -172,7 +172,9 @@ servesmoke:
 ## fig12's native reference is a stored artifact, so its cold run traces
 ## a "native" span and its warm run none. Neither warm run selects, so each
 ## reads the profile checkpoints and no basic-block vectors: its trace has
-## a store.get of kind profile and none of kind bbv.
+## a store.get of kind profile and none of kind bbv. fig12 warms its
+## regions up, so its cold run puts their live-points (kind warm) and its
+## warm run restores them from a store.get hit of that kind.
 cachesmoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	trap 'rm -rf "$$dir"' EXIT; \
@@ -196,4 +198,8 @@ cachesmoke:
 		|| { echo "cachesmoke: cold fig12 ran no native pass"; exit 1; }; \
 	! grep -q '"name":"native"' "$$dir/fig12.warm.trace" \
 		|| { echo "cachesmoke: warm fig12 re-ran the native pass"; exit 1; }; \
-	echo "cachesmoke: warm tableII and fig12 byte-identical, served from the store without vectors"
+	grep '"name":"store.put"' "$$dir/fig12.cold.trace" | grep -q '"kind":"warm"' \
+		|| { echo "cachesmoke: cold fig12 stored no live-points"; exit 1; }; \
+	grep '"name":"store.get"' "$$dir/fig12.warm.trace" | grep '"kind":"warm"' | grep -q '"outcome":"hit"' \
+		|| { echo "cachesmoke: warm fig12 restored no live-points"; exit 1; }; \
+	echo "cachesmoke: warm tableII and fig12 byte-identical, served from the store without vectors, fig12 from live-points"

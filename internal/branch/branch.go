@@ -3,7 +3,10 @@
 // counters, adequate to give realistic phase-dependent misprediction rates.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -82,6 +85,50 @@ func (p *Predictor) Stats() Stats { return p.stats }
 
 // ResetStats zeroes counters without forgetting learned state.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
+
+// State is a predictor's learned state and counters: the three counter
+// tables, the global history and the statistics.
+type State struct {
+	Gshare, Bimodal, Chooser []uint8
+	History                  uint64
+	Stats                    Stats
+}
+
+// Snapshot copies the predictor's state.
+func (p *Predictor) Snapshot() State {
+	return State{
+		Gshare:  slices.Clone(p.gshare),
+		Bimodal: slices.Clone(p.bimodal),
+		Chooser: slices.Clone(p.chooser),
+		History: p.history,
+		Stats:   p.stats,
+	}
+}
+
+// Restore sets the predictor's state from s, so it continues exactly as the
+// one s was taken from. It fails, changing nothing, unless s has this
+// predictor's table size and is a state the model can reach: 2-bit
+// counters, a history within HistoryBits and no more mispredictions than
+// branches.
+func (p *Predictor) Restore(s State) error {
+	for _, t := range [][]uint8{s.Gshare, s.Bimodal, s.Chooser} {
+		if len(t) != len(p.gshare) {
+			return fmt.Errorf("branch: state table of %d counters, predictor has %d", len(t), len(p.gshare))
+		}
+		if slices.Max(t) > 3 {
+			return fmt.Errorf("branch: state counter exceeds 2 bits")
+		}
+	}
+	if s.History > p.histMax || s.Stats.Mispredicts > s.Stats.Branches {
+		return fmt.Errorf("branch: state history %#x or counters %+v out of range", s.History, s.Stats)
+	}
+	copy(p.gshare, s.Gshare)
+	copy(p.bimodal, s.Bimodal)
+	copy(p.chooser, s.Chooser)
+	p.history = s.History
+	p.stats = s.Stats
+	return nil
+}
 
 // Access predicts the branch at pc, trains on the resolved direction, and
 // reports whether the prediction was wrong.

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -143,5 +144,52 @@ func BenchmarkPredictorAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Access(uint64(0x400+(i%13)*64), r.Bool(0.8))
+	}
+}
+
+// TestRestoreContinuesIdentically checks that a predictor restored from a
+// snapshot predicts branch for branch like the one it was taken from, and
+// that Restore refuses states the predictor cannot hold.
+func TestRestoreContinuesIdentically(t *testing.T) {
+	train := func(p *Predictor, seed uint64) {
+		r := rng.New(seed)
+		for i := 0; i < 20000; i++ {
+			p.Access(r.Uint64n(1<<14), r.Bool(0.7))
+		}
+	}
+	a, _ := New(DefaultConfig())
+	b, _ := New(DefaultConfig())
+	train(a, 1)
+	good := a.Snapshot()
+	if err := b.Restore(good); err != nil {
+		t.Fatal(err)
+	}
+	train(a, 2)
+	train(b, 2)
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Error("restored predictor diverged")
+	}
+
+	small, _ := New(Config{HistoryBits: 12, TableBits: 10})
+	saturated := b.Snapshot()
+	saturated.Chooser = append([]uint8(nil), saturated.Chooser...)
+	saturated.Chooser[7] = 4
+	stats := b.Snapshot()
+	stats.Stats = Stats{Branches: 1, Mispredicts: 2}
+	history := b.Snapshot()
+	history.History = 1 << DefaultConfig().HistoryBits
+	want := b.Snapshot()
+	for name, s := range map[string]State{
+		"wrong table size":     small.Snapshot(),
+		"counter over 2 bits":  saturated,
+		"misses over branches": stats,
+		"history over bits":    history,
+	} {
+		if err := b.Restore(s); err == nil {
+			t.Errorf("%s: Restore accepted", name)
+		}
+		if !reflect.DeepEqual(b.Snapshot(), want) {
+			t.Errorf("%s: a failed Restore changed the predictor", name)
+		}
 	}
 }

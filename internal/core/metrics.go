@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"specsampling/internal/cache"
 	"specsampling/internal/obs"
@@ -11,6 +12,7 @@ import (
 	"specsampling/internal/pintool"
 	"specsampling/internal/simpoint"
 	"specsampling/internal/stats"
+	"specsampling/internal/store"
 	"specsampling/internal/timing"
 )
 
@@ -173,6 +175,12 @@ func (a *Analysis) MeasureWhole(ctx context.Context, tools Tools) (Measurement, 
 // requested tool attached to the one engine, and keeps each region's raw
 // result. Pinballs carrying warm-up checkpoints warm their tools first (the
 // "Warmup Regional Run" of Figure 8).
+//
+// With a store, the warmed tool states are live-points (see warm.go): the
+// first run stores them, captured in the measuring replay itself, and a
+// later run with the same pinballs and tools restores them and replays
+// only the measured regions. The result is bit-identical either way. A
+// missing, corrupt or mismatched entry is recomputed and put back.
 func (a *Analysis) Measure(ctx context.Context, pbs []*pinball.Pinball, tools Tools) (Measurement, error) {
 	return a.measureRegions(ctx, pbs, tools, 0)
 }
@@ -180,18 +188,42 @@ func (a *Analysis) Measure(ctx context.Context, pbs []*pinball.Pinball, tools To
 // measureRegions is Measure with prewarm extra replays of each region
 // against its cache hierarchy, statistics suppressed, before the measured
 // replay (SampledCacheRepeated's mitigation; 0 for plain measurement).
+// Pre-warmed measurements bypass the live-points: their state depends on
+// the region's own replays too.
 func (a *Analysis) measureRegions(ctx context.Context, pbs []*pinball.Pinball, tools Tools, prewarm int) (Measurement, error) {
 	if len(pbs) == 0 {
 		return Measurement{}, fmt.Errorf("core: no pinballs")
 	}
-	probes := make([]*probe, len(pbs))
-	for i := range probes {
-		var err error
-		if probes[i], err = tools.probe(); err != nil {
-			return Measurement{}, err
+	job := pinball.SuiteJob{Program: a.Prog, Pinballs: pbs}
+	var probes []*probe
+	var key store.Key
+	var captured []warmState // set when live-points are to be stored
+	warmable := tools.Cache != nil || tools.CPI != nil
+	warms := slices.ContainsFunc(pbs, func(pb *pinball.Pinball) bool { return pb.HasWarmup })
+	if prewarm == 0 && a.st != nil && warmable && warms {
+		key = a.warmKey(pbs, tools)
+		art := warmArtifact{pbs: pbs, tools: tools}
+		if a.st.Get(ctx, key, &art) {
+			probes = art.probes
+			job.Pinballs = make([]*pinball.Pinball, len(pbs))
+			for i, pb := range pbs {
+				job.Pinballs[i] = stripWarmup(pb)
+			}
+		} else {
+			captured = make([]warmState, len(pbs))
+			job.Warmed = func(i int) { captured[i] = probes[i].warmState() }
 		}
 	}
-	results := pinball.ReplayAll(ctx, a.Prog, pbs, a.Config.Workers, func(i int) []pin.Tool {
+	if probes == nil {
+		probes = make([]*probe, len(pbs))
+		for i := range probes {
+			var err error
+			if probes[i], err = tools.probe(); err != nil {
+				return Measurement{}, err
+			}
+		}
+	}
+	job.MakeTools = func(i int) []pin.Tool {
 		p := probes[i]
 		for r := 0; r < prewarm; r++ {
 			p.cache.H.SetWarmup(true)
@@ -202,13 +234,17 @@ func (a *Analysis) measureRegions(ctx context.Context, pbs []*pinball.Pinball, t
 			}
 		}
 		return p.tools
-	})
+	}
+	results := pinball.ReplayAll(ctx, job, a.Config.Workers)
 	m := Measurement{Regions: make([]Region, len(pbs))}
 	for i, r := range results {
 		if r.Err != nil {
 			return Measurement{}, fmt.Errorf("core: replay %d: %w", i, r.Err)
 		}
 		m.Regions[i] = probes[i].region(pbs[i].Start.Instrs, pbs[i].Weight, r.Executed)
+	}
+	if captured != nil {
+		_ = a.st.Put(ctx, key, warmArtifact{states: captured}) // a failed cache write must not fail the run
 	}
 	return m, nil
 }

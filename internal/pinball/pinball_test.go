@@ -279,10 +279,10 @@ func TestReplayAllParallelMatchesSequential(t *testing.T) {
 	}
 
 	mixes := make([]*pintool.LdStMix, len(pbs))
-	results := ReplayAll(context.Background(), p, pbs, 4, func(i int) []pin.Tool {
+	results := ReplayAll(context.Background(), SuiteJob{Program: p, Pinballs: pbs, MakeTools: func(i int) []pin.Tool {
 		mixes[i] = pintool.NewLdStMix()
 		return []pin.Tool{mixes[i]}
-	})
+	}}, 4)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("replay %d: %v", i, res.Err)

@@ -10,7 +10,12 @@ import (
 	"specsampling/internal/sched"
 )
 
-var replayCounter = obs.GetCounter("pinball.replayed")
+var (
+	replayCounter = obs.GetCounter("pinball.replayed")
+	// warmupCounter totals the instructions warm-up runs replay (sim.instrs
+	// counts them together with the measured ones).
+	warmupCounter = obs.GetCounter("pinball.warmup_instrs")
+)
 
 // Warmable is implemented by tools whose microarchitectural state can be
 // warmed without counting statistics (cache simulators, timing models). If
@@ -53,6 +58,14 @@ func NewReplayer(p *program.Program) *Replayer {
 // and belong to this replay; the Replayer's own state is fully re-restored
 // from the pinball, so replay order does not affect results.
 func (r *Replayer) Replay(pb *Pinball, tools ...pin.Tool) (uint64, error) {
+	return r.replay(pb, nil, tools)
+}
+
+// replay is Replay with an optional warmed hook, called once the warm-up
+// run has ended and the Warmable tools have left warm-up mode, before the
+// measured run starts: the point where the tools hold the pinball's warmed
+// state.
+func (r *Replayer) replay(pb *Pinball, warmed func(), tools []pin.Tool) (uint64, error) {
 	if err := pb.Validate(); err != nil {
 		return 0, err
 	}
@@ -79,7 +92,7 @@ func (r *Replayer) Replay(pb *Pinball, tools ...pin.Tool) (uint64, error) {
 		for _, w := range r.warmables {
 			w.SetWarmup(true)
 		}
-		r.warm.Run(pb.WarmupLen)
+		warmupCounter.Add(int64(r.warm.Run(pb.WarmupLen)))
 		for _, w := range r.warmables {
 			w.SetWarmup(false)
 		}
@@ -87,6 +100,9 @@ func (r *Replayer) Replay(pb *Pinball, tools ...pin.Tool) (uint64, error) {
 		// the region start slightly; restore the exact region state so the
 		// measured stream is bit-identical to the captured region.
 		// (Microarchitectural warm-up state persists in the tools.)
+		if warmed != nil {
+			warmed()
+		}
 	}
 
 	if err := r.exec.Restore(pb.Start); err != nil {
@@ -121,30 +137,35 @@ type ReplayResult struct {
 	Err error
 }
 
-// ReplayAll replays a set of pinballs in parallel — the paper notes that
-// regional pinballs are independent and "are executed in parallel to save
-// time". makeTools is called once per pinball to produce that replay's
-// private tool set (tools are stateful and must not be shared); it receives
-// the pinball's index in pbs. Results preserve input order. workers <= 0
-// uses GOMAXPROCS. It is ReplaySuite over one job, traced as one "replay"
-// span per benchmark.
+// ReplayAll replays one benchmark's pinballs in parallel — the paper notes
+// that regional pinballs are independent and "are executed in parallel to
+// save time". Results preserve input order. workers <= 0 uses GOMAXPROCS.
+// It is ReplaySuite over one job, traced as one "replay" span per
+// benchmark.
 //
 // If ctx is cancelled mid-run, pinballs not yet dispatched are returned
 // with Err set to ctx.Err(); already-running replays complete normally.
-func ReplayAll(ctx context.Context, p *program.Program, pbs []*Pinball, workers int, makeTools func(i int) []pin.Tool) []ReplayResult {
+func ReplayAll(ctx context.Context, job SuiteJob, workers int) []ReplayResult {
 	ctx, span := obs.Start(ctx, "replay",
-		obs.String("bench", p.Name), obs.Int("pinballs", len(pbs)))
+		obs.String("bench", job.Program.Name), obs.Int("pinballs", len(job.Pinballs)))
 	defer span.End()
-	return replayJobs(ctx, []SuiteJob{{Program: p, Pinballs: pbs, MakeTools: makeTools}}, workers)[0]
+	return replayJobs(ctx, []SuiteJob{job}, workers)[0]
 }
 
-// SuiteJob is one benchmark's share of a whole-suite replay: its program,
-// its regional pinballs, and the per-pinball tool factory (same contract as
-// ReplayAll's makeTools).
+// SuiteJob is one benchmark's share of a replay: its program, its regional
+// pinballs, the per-pinball tool factory and an optional warm-up hook.
 type SuiteJob struct {
-	Program   *program.Program
-	Pinballs  []*Pinball
+	Program  *program.Program
+	Pinballs []*Pinball
+	// MakeTools is called once per pinball, with its index in Pinballs, to
+	// produce that replay's private tool set (tools are stateful and must
+	// not be shared).
 	MakeTools func(i int) []pin.Tool
+	// Warmed, if set, is called with the pinball's index on the replaying
+	// goroutine when a pinball's warm-up run ends: after the block-boundary
+	// overshoot and SetWarmup(false), before the measured run. Its tools
+	// then hold the warmed state a live-point stores.
+	Warmed func(i int)
 }
 
 // ReplaySuite replays every job's pinballs across one shared worker pool —
@@ -196,8 +217,11 @@ func replayJobs(ctx context.Context, jobs []SuiteJob, workers int) [][]ReplayRes
 			r = NewReplayer(job.Program)
 			replayers[w][j] = r
 		}
-		tools := job.MakeTools(i)
-		n, err := r.Replay(job.Pinballs[i], tools...)
+		var warmed func()
+		if job.Warmed != nil {
+			warmed = func() { job.Warmed(i) }
+		}
+		n, err := r.replay(job.Pinballs[i], warmed, job.MakeTools(i))
 		results[j][i] = ReplayResult{Pinball: job.Pinballs[i], Executed: n, Err: err}
 		ran[j][i] = true
 		replayCounter.Add(1)

@@ -143,10 +143,10 @@ func TestReplaySuiteMatchesReplayAll(t *testing.T) {
 		p := []*program.Program{p1, p2}[j]
 		mixes := [][]*pintool.LdStMix{suiteMixes1, suiteMixes2}[j]
 		refMixes := make([]*pintool.LdStMix, len(want))
-		ref := ReplayAll(context.Background(), p, want, 2, func(i int) []pin.Tool {
+		ref := ReplayAll(context.Background(), SuiteJob{Program: p, Pinballs: want, MakeTools: func(i int) []pin.Tool {
 			refMixes[i] = pintool.NewLdStMix()
 			return []pin.Tool{refMixes[i]}
-		})
+		}}, 2)
 		for i := range want {
 			if suite[j][i].Err != nil {
 				t.Fatalf("suite job %d pinball %d: %v", j, i, suite[j][i].Err)

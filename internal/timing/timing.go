@@ -269,6 +269,36 @@ func (c *Core) Counters() Counters {
 	}
 }
 
+// State is a core's microarchitectural state and accumulated measurements,
+// the live-point a warm-up run leaves behind.
+type State struct {
+	Cache  cache.State
+	Branch branch.State
+	Cycles float64
+	Instrs uint64
+}
+
+// Snapshot copies the core's state.
+func (c *Core) Snapshot() State {
+	return State{Cache: c.hier.Snapshot(), Branch: c.pred.Snapshot(), Cycles: c.cycles, Instrs: c.instrs}
+}
+
+// Restore sets the core's state from s, so it continues exactly as the core
+// s was taken from. It fails unless s fits the core's hierarchy and
+// predictor (see cache.Hierarchy.Restore and branch.Predictor.Restore). A
+// failed restore may leave the predictor restored and the hierarchy not,
+// so callers discard the core.
+func (c *Core) Restore(s State) error {
+	if err := c.pred.Restore(s.Branch); err != nil {
+		return err
+	}
+	if err := c.hier.Restore(s.Cache); err != nil {
+		return err
+	}
+	c.cycles, c.instrs = s.Cycles, s.Instrs
+	return nil
+}
+
 // CPI is shorthand for Counters().CPI().
 func (c *Core) CPI() float64 { return c.Counters().CPI() }
 

@@ -1,8 +1,10 @@
 package timing
 
 import (
+	"reflect"
 	"testing"
 
+	"specsampling/internal/cache"
 	"specsampling/internal/pin"
 	"specsampling/internal/pinball"
 	"specsampling/internal/program"
@@ -203,5 +205,54 @@ func TestCountersHelpers(t *testing.T) {
 	c = Counters{Instructions: 1000, Cycles: 1500}
 	if c.CPI() != 1.5 {
 		t.Errorf("CPI = %v", c.CPI())
+	}
+}
+
+// TestRestoreContinuesIdentically checks that a core restored from a
+// snapshot, at the same program position, accounts exactly what the core
+// it was taken from does, and that a core of another geometry refuses the
+// state.
+func TestRestoreContinuesIdentically(t *testing.T) {
+	p := testProgram(t, 256<<10, 40)
+	cfg := ScaledConfig(TableIIIConfig(), cache.ScaleDivs{L1: 16, L2: 512, L3: 512})
+	a, err := NewCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ea := pin.NewEngine(p)
+	if err := ea.Attach(a); err != nil {
+		t.Fatal(err)
+	}
+	a.SetWarmup(true)
+	n := ea.Run(8000)
+	a.SetWarmup(false)
+	n += ea.Run(8000)
+	snap := a.Snapshot()
+
+	b, err := NewCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	exec := program.NewExecutor(p)
+	exec.Run(n, program.Hooks{})
+	eb := pin.NewEngineAt(exec)
+	if err := eb.Attach(b); err != nil {
+		t.Fatal(err)
+	}
+	ea.Run(20000)
+	eb.Run(20000)
+	if a.Counters() != b.Counters() || !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Errorf("restored core diverged: %+v vs %+v", b.Counters(), a.Counters())
+	}
+
+	other, err := NewCore(TableIIIConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Restore(snap); err == nil {
+		t.Error("an unscaled core accepted a scaled core's state")
 	}
 }
