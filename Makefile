@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke
+.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke golden
 
 ## check: the pre-commit gate — gofmt, vet (root and e2ebench modules),
 ## the project's own static analysis (speclint), the unreachable-package
@@ -69,6 +69,13 @@ racesmoke:
 	$(GO) test -race -run 'TestCollectorRunsProbes|TestExpositionParsesAndIsCoherent' ./internal/telemetry
 	$(GO) test -race -run 'TestLoadSmoke|TestDedupIdenticalConfigs|TestAdmissionAndLoadShedding|TestTraceIDPropagation' ./internal/serve
 	$(GO) test -race -run 'TestSelectorDeterminism|TestSelectorInvariants' ./internal/selector
+
+## golden: rewrite internal/experiments/testdata/report_small.golden.json,
+## the pinned -json report of `-run all -scale small` over the full suite
+## (wall-clock fields blanked) that TestReportGolden compares against. Run
+## it only for a change meant to move the reported numbers, on amd64.
+golden:
+	$(GO) test -count=1 -run '^TestReportGolden$$' ./internal/experiments -update
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:
