@@ -3,14 +3,16 @@
 // can assert the paper's shape) and a text rendition (so cmd/experiments
 // prints the same rows the paper reports). A Runner caches the expensive
 // per-benchmark analyses so the figures that share them (5-10, 12) pay the
-// profiling cost once.
+// profiling cost once, and each benchmark's Whole run — one replay with
+// ldstmix, allcache and the timing core attached, as PinPoints replays a
+// Whole pinball — so Figures 3, 7-10 and the shoot-out share one pass.
 //
 // The suite pipeline is parallel at two layers: per-benchmark passes inside
 // each figure fan out across Options.Workers goroutines (results are
 // collected into index-addressed slices, so output order and every reported
 // aggregate are identical for any worker count), and the underlying
-// analysis/whole-profile caches are singleflight groups, so concurrent
-// figures never duplicate an expensive core.Analyze pass.
+// analysis and Whole-run caches are singleflight groups, so concurrent
+// figures never duplicate an expensive core.Analyze or whole-program pass.
 package experiments
 
 import (
@@ -101,10 +103,8 @@ type Runner struct {
 	// Singleflight caches: concurrent figures requesting the same
 	// benchmark share one computation instead of duplicating it.
 	analyses sched.Group[string, *core.Analysis]
-	wholeC   sched.Group[string, core.CacheProfile]
-	wholeM   sched.Group[string, core.MixProfile]
-	wholeP   sched.Group[string, core.CPIProfile]
-	wholeN   sched.Group[string, timing.Counters]
+	wholes   sched.Group[string, core.Measurement]
+	natives  sched.Group[string, timing.Counters]
 	fig8     sched.Group[struct{}, *Fig8Result]
 }
 
@@ -194,10 +194,10 @@ func (r *Runner) analysis(ctx context.Context, spec workload.Spec) (*core.Analys
 	})
 }
 
-// wholeKey is the store key of a whole-run replay profile. The profile is a
+// wholeKey is the store key of a whole-run artifact. The Whole run is a
 // function of the built program alone (benchmark + scale) plus the
-// scale-derived cache hierarchy (or, for whole_native, the scale-derived
-// native machine), so the scale identifies it completely.
+// scale-derived cache hierarchy and timing machine (or, for whole_native,
+// the scale-derived native machine), so the scale identifies it completely.
 func (r *Runner) wholeKey(kind, bench string) store.Key {
 	return store.Key{Kind: kind, Bench: bench, Parts: []string{
 		"scale=" + r.opts.Scale.Name,
@@ -205,76 +205,17 @@ func (r *Runner) wholeKey(kind, bench string) store.Key {
 	}}
 }
 
-// wholeKinds is a set of whole-run profile kinds.
-type wholeKinds struct{ mix, cache, cpi bool }
-
-// wholeRun holds a benchmark's whole-run profiles; kinds not requested are
-// zero.
-type wholeRun struct {
-	mix   core.MixProfile
-	cache core.CacheProfile
-	cpi   core.CPIProfile
-}
-
-// whole returns (and caches) the benchmark's whole-run profiles of the
-// requested kinds. Each kind keeps its own singleflight group and store key
-// (whole_mix, whole_cache, whole_cpi), looked up memory → disk → compute in
-// that order; the first kind that misses both runs one core.MeasureWhole
-// pass over every kind not yet served, and the later kinds take their
-// profiles from that pass. So a caller needing several kinds replays the
-// whole program at most once.
-func (r *Runner) whole(ctx context.Context, an *core.Analysis, need wholeKinds) (wholeRun, error) {
-	hier, tcfg := r.CacheConfig(), r.TimingConfig()
-	left := need // kinds not yet served
-	var pass *core.Measurement
-	// measure runs the pass on its first call. Group.Do runs fn in the
-	// calling goroutine, so pass and left need no lock.
-	measure := func() (core.Measurement, error) {
-		if pass == nil {
-			tools := core.Tools{Mix: left.mix}
-			if left.cache {
-				tools.Cache = &hier
-			}
-			if left.cpi {
-				tools.CPI = &tcfg
-			}
-			m, err := an.MeasureWhole(ctx, tools)
-			if err != nil {
-				return m, err
-			}
-			pass = &m
-		}
-		return *pass, nil
-	}
-	var out wholeRun
-	var err error
-	if need.mix {
-		out.mix, err = wholeKind(ctx, r, &r.wholeM, "whole_mix", an.Spec.Name, func() (core.MixProfile, error) {
-			m, err := measure()
-			return m.Mix(), err
-		})
-		if err != nil {
-			return out, err
-		}
-		left.mix = false
-	}
-	if need.cache {
-		out.cache, err = wholeKind(ctx, r, &r.wholeC, "whole_cache", an.Spec.Name, func() (core.CacheProfile, error) {
-			m, err := measure()
-			return m.Cache(), err
-		})
-		if err != nil {
-			return out, err
-		}
-		left.cache = false
-	}
-	if need.cpi {
-		out.cpi, err = wholeKind(ctx, r, &r.wholeP, "whole_cpi", an.Spec.Name, func() (core.CPIProfile, error) {
-			m, err := measure()
-			return m.CPI(), err
-		})
-	}
-	return out, err
+// whole returns (and caches) the benchmark's Whole run: one
+// core.MeasureWhole pass with every whole-run tool attached — ldstmix,
+// allcache over CacheConfig and the timing core of TimingConfig — as
+// PinPoints replays a Whole pinball once with all its Pintools. It is
+// stored as kind whole and looked up memory → disk → compute; callers read
+// the profile they compare against with Mix, Cache or CPI.
+func (r *Runner) whole(ctx context.Context, an *core.Analysis) (core.Measurement, error) {
+	return wholeKind(ctx, r, &r.wholes, "whole", an.Spec.Name, func() (core.Measurement, error) {
+		hier, tcfg := r.CacheConfig(), r.TimingConfig()
+		return an.MeasureWhole(ctx, core.Tools{Mix: true, Cache: &hier, CPI: &tcfg})
+	})
 }
 
 // perfStat returns (and caches) the benchmark's native perf-stat counters,
@@ -284,14 +225,14 @@ func (r *Runner) whole(ctx context.Context, an *core.Analysis, need wholeKinds) 
 // which store.Version covers, so wholeKey identifies the run. The compute
 // runs under a "native" span.
 func (r *Runner) perfStat(ctx context.Context, an *core.Analysis) (timing.Counters, error) {
-	return wholeKind(ctx, r, &r.wholeN, "whole_native", an.Spec.Name, func() (timing.Counters, error) {
+	return wholeKind(ctx, r, &r.natives, "whole_native", an.Spec.Name, func() (timing.Counters, error) {
 		_, span := obs.Start(ctx, "native", obs.String("bench", an.Spec.Name))
 		defer span.End()
 		return native.PerfStat(an.Prog, r.opts.Scale.CacheDivs, 0)
 	})
 }
 
-// wholeKind is one kind's memory → disk → compute lookup.
+// wholeKind is one whole-run artifact's memory → disk → compute lookup.
 func wholeKind[P any](ctx context.Context, r *Runner, g *sched.Group[string, P], kind, bench string, compute func() (P, error)) (P, error) {
 	return g.Do(ctx, bench, func() (P, error) {
 		key := r.wholeKey(kind, bench)
@@ -329,37 +270,29 @@ func IDs() []string {
 // prewarmNeeds describes what one benchmark needs before the requested
 // experiments can run without recomputing anything.
 type prewarmNeeds struct {
-	spec workload.Spec
-	wholeKinds
-	native bool
+	spec          workload.Spec
+	whole, native bool
 }
 
 // Prewarm precomputes, in parallel across the worker budget, every
-// per-benchmark analysis, whole-run profile and native reference the given
-// experiment ids will need ("all" expands to every experiment), with at
-// most one whole-program pass per benchmark for the union of the whole-run
-// kinds. Figures executed afterwards find their inputs cached and only pay
-// their own incremental replay cost. Calling Prewarm is never required —
-// the figure loops are parallel and the caches are singleflight either
-// way — but it front-loads the dominant cost into one suite-wide fan-out.
+// per-benchmark analysis, Whole run and native reference the given
+// experiment ids will need ("all" expands to every experiment). Figures
+// executed afterwards find their inputs cached and only pay their own
+// incremental replay cost. Calling Prewarm is never required — the figure
+// loops are parallel and the caches are singleflight either way — but it
+// front-loads the dominant cost into one suite-wide fan-out.
 func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
-	var suite, suiteMix, suiteCache, suiteCPI, suiteNative, fig3 bool
+	var suite, whole, native, fig3 bool
 	for _, id := range ids {
 		switch id {
 		case "all":
-			suite, suiteMix, suiteCache, suiteCPI, suiteNative, fig3 = true, true, true, true, true, true
+			suite, whole, native, fig3 = true, true, true, true
 		case "tableII", "fig4", "fig5", "fig6":
 			suite = true
 		case "fig12":
-			suite, suiteNative = true, true
-		case "fig7":
-			suite, suiteMix = true, true
-		case "fig8", "fig10":
-			suite, suiteCache = true, true
-		case "fig9":
-			suite, suiteMix, suiteCache = true, true, true
-		case "shootout":
-			suite, suiteMix, suiteCache, suiteCPI = true, true, true, true
+			suite, native = true, true
+		case "fig7", "fig8", "fig9", "fig10", "shootout":
+			suite, whole = true, true
 		case "fig3a", "fig3b":
 			fig3 = true
 		case "tableI", "tableIII":
@@ -372,7 +305,7 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 	var jobs []prewarmNeeds
 	if suite {
 		for _, spec := range r.specs {
-			jobs = append(jobs, prewarmNeeds{spec, wholeKinds{suiteMix, suiteCache, suiteCPI}, suiteNative})
+			jobs = append(jobs, prewarmNeeds{spec, whole, native})
 		}
 	}
 	if fig3 {
@@ -383,12 +316,12 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 		found := false
 		for i := range jobs {
 			if jobs[i].spec.Name == spec.Name {
-				jobs[i].mix, jobs[i].cache = true, true
+				jobs[i].whole = true
 				found = true
 			}
 		}
 		if !found {
-			jobs = append(jobs, prewarmNeeds{spec: spec, wholeKinds: wholeKinds{mix: true, cache: true}})
+			jobs = append(jobs, prewarmNeeds{spec: spec, whole: true})
 		}
 	}
 	return sched.ForEach(ctx, r.workers(), len(jobs), func(i int) error {
@@ -397,8 +330,10 @@ func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := r.whole(ctx, an, job.wholeKinds); err != nil {
-			return err
+		if job.whole {
+			if _, err := r.whole(ctx, an); err != nil {
+				return err
+			}
 		}
 		if job.native {
 			_, err = r.perfStat(ctx, an)

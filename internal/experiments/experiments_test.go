@@ -402,9 +402,11 @@ func TestRunRecordedCollectsResults(t *testing.T) {
 }
 
 // spanSink counts the spans of one name per benchmark: "whole"
-// (whole-program measurement passes) or "native" (native reference runs).
+// (whole-program measurement passes), "native" (native reference runs) or,
+// with a kind, the store spans of that artifact kind.
 type spanSink struct {
 	name   string
+	kind   string // the span's "kind" attribute must equal it
 	mu     sync.Mutex
 	passes map[string]int
 }
@@ -417,13 +419,21 @@ func (s *spanSink) SpanEnd(sd *obs.SpanData) {
 	if sd.Name != s.name {
 		return
 	}
+	var bench, kind string
 	for _, a := range sd.Attrs {
-		if a.Key == "bench" {
-			s.mu.Lock()
-			s.passes[a.Value.(string)]++
-			s.mu.Unlock()
+		switch a.Key {
+		case "bench":
+			bench = a.Value.(string)
+		case "kind":
+			kind = a.Value.(string)
 		}
 	}
+	if bench == "" || kind != s.kind {
+		return
+	}
+	s.mu.Lock()
+	s.passes[bench]++
+	s.mu.Unlock()
 }
 
 // TestPrewarmOneWholePassPerBenchmark checks that the shoot-out's three
@@ -456,6 +466,42 @@ func TestPrewarmOneWholePassPerBenchmark(t *testing.T) {
 			if got := sink.passes[b]; got != tc.want {
 				t.Errorf("%s: %s ran %d whole-run passes, want %d", tc.name, b, got, tc.want)
 			}
+		}
+	}
+}
+
+// TestFiguresShareOneWholeRun checks that the figures comparing against
+// the Whole run share one stored artifact: on a cold store, Fig7 (mix),
+// Fig8 (cache) and the shoot-out (mix, cache and CPI) together run one
+// whole-program pass and put one whole entry per benchmark.
+func TestFiguresShareOneWholeRun(t *testing.T) {
+	benches := []string{"505.mcf_r", "503.bwaves_r"}
+	st, err := store.Open(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: benches, Store: st, ShootoutRepeats: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := newSpanSink("whole")
+	puts := &spanSink{name: "store.put", kind: "whole", passes: map[string]int{}}
+	obs.Enable(passes, puts)
+	if _, err = r.Fig7(tctx); err == nil {
+		if _, err = r.Fig8(tctx); err == nil {
+			_, err = r.Shootout(tctx)
+		}
+	}
+	obs.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range benches {
+		if got := passes.passes[b]; got != 1 {
+			t.Errorf("%s ran %d whole-run passes, want 1", b, got)
+		}
+		if got := puts.passes[b]; got != 1 {
+			t.Errorf("%s put %d whole entries, want 1", b, got)
 		}
 	}
 }

@@ -47,11 +47,11 @@ func (r *Runner) Fig3a(ctx context.Context, bench string, maxKs []int) (*SweepRe
 		return nil, err
 	}
 	res := &SweepResult{Benchmark: spec.Name}
-	w, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true})
+	w, err := r.whole(ctx, an)
 	if err != nil {
 		return nil, err
 	}
-	res.Whole.Mix, res.Whole.Cache = w.mix, w.cache
+	res.Whole.Mix, res.Whole.Cache = w.Mix(), w.Cache()
 	if res.Points, err = an.SweepMaxK(ctx, maxKs, r.CacheConfig()); err != nil {
 		return nil, err
 	}
@@ -75,11 +75,11 @@ func (r *Runner) Fig3b(ctx context.Context, bench string, paperSizes []uint64) (
 		return nil, err
 	}
 	res := &SweepResult{Benchmark: spec.Name}
-	w, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true})
+	w, err := r.whole(ctx, an)
 	if err != nil {
 		return nil, err
 	}
-	res.Whole.Mix, res.Whole.Cache = w.mix, w.cache
+	res.Whole.Mix, res.Whole.Cache = w.Mix(), w.Cache()
 	if res.Points, err = core.SweepSliceSize(ctx, spec, r.cfg, paperSizes, r.CacheConfig()); err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func (r *Runner) Fig7(ctx context.Context) (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		w, err := r.whole(ctx, an, wholeKinds{mix: true})
+		w, err := r.whole(ctx, an)
 		if err != nil {
 			return err
 		}
@@ -327,7 +327,7 @@ func (r *Runner) Fig7(ctx context.Context) (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		res.Rows[i] = Fig7Row{Benchmark: spec.Name, Whole: w.mix, Regional: regional.Mix(), Reduced: reduced.Mix()}
+		res.Rows[i] = Fig7Row{Benchmark: spec.Name, Whole: w.Mix(), Regional: regional.Mix(), Reduced: reduced.Mix()}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -425,7 +425,7 @@ func (r *Runner) Fig8(ctx context.Context) (*Fig8Result, error) {
 			if err != nil {
 				return err
 			}
-			w, err := r.whole(ctx, an, wholeKinds{cache: true})
+			w, err := r.whole(ctx, an)
 			if err != nil {
 				return err
 			}
@@ -441,7 +441,7 @@ func (r *Runner) Fig8(ctx context.Context) (*Fig8Result, error) {
 			if err != nil {
 				return err
 			}
-			res.Rows[i] = Fig8Row{Benchmark: spec.Name, Whole: w.cache,
+			res.Rows[i] = Fig8Row{Benchmark: spec.Name, Whole: w.Cache(),
 				Regional: regional.Cache(), Reduced: reduced.Cache(), Warmup: warm.Cache()}
 			return nil
 		}); err != nil {
@@ -564,7 +564,7 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 	// Per-benchmark sweeps run in parallel; each contributes one Fig9Point
 	// row per percentile, accumulated serially below in suite order.
 	type specSweep struct {
-		whole wholeRun
+		whole core.Measurement
 		pts   []core.PercentilePoint
 	}
 	sweeps := make([]specSweep, len(r.specs))
@@ -573,7 +573,7 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 		if err != nil {
 			return err
 		}
-		if sweeps[i].whole, err = r.whole(ctx, an, wholeKinds{mix: true, cache: true}); err != nil {
+		if sweeps[i].whole, err = r.whole(ctx, an); err != nil {
 			return err
 		}
 		sweeps[i].pts, err = an.PercentileSweep(ctx, percentiles, hier)
@@ -582,11 +582,12 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 		return nil, err
 	}
 	for _, sw := range sweeps {
+		mix, ch := sw.whole.Mix(), sw.whole.Cache()
 		for i, p := range sw.pts {
-			out[i].MixErrPct += mixAbsErrPct(p.Mix, sw.whole.mix)
-			out[i].CacheErrPct[0] += absFinite((p.Cache.L1D - sw.whole.cache.L1D) * 100)
-			out[i].CacheErrPct[1] += absFinite((p.Cache.L2 - sw.whole.cache.L2) * 100)
-			out[i].CacheErrPct[2] += absFinite((p.Cache.L3 - sw.whole.cache.L3) * 100)
+			out[i].MixErrPct += mixAbsErrPct(p.Mix, mix)
+			out[i].CacheErrPct[0] += absFinite((p.Cache.L1D - ch.L1D) * 100)
+			out[i].CacheErrPct[1] += absFinite((p.Cache.L2 - ch.L2) * 100)
+			out[i].CacheErrPct[2] += absFinite((p.Cache.L3 - ch.L3) * 100)
 			out[i].ReplayTime += p.ReplayTime
 			out[i].Points += p.NumPoints
 		}

@@ -24,9 +24,10 @@ import (
 var resumeBenches = []string{"520.omnetpp_r", "505.mcf_r", "503.bwaves_r"}
 
 // resumeSnapshot runs the store-covered experiments (TableII: analyses;
-// Fig7: whole mixes; Fig8: whole caches) on a fresh runner and returns a
-// canonical JSON rendition. All three are wall-clock-free, so snapshots
-// must be byte-identical across runs, stores and interruption patterns.
+// Fig7 and Fig8: the whole run; Fig8: live-points) on a fresh runner and
+// returns a canonical JSON rendition. All three are wall-clock-free, so
+// snapshots must be byte-identical across runs, stores and interruption
+// patterns.
 func resumeSnapshot(t *testing.T, benches []string, st *store.Store) string {
 	t.Helper()
 	r, err := New(Options{
@@ -94,8 +95,8 @@ func TestResumeAfterCancelledRun(t *testing.T) {
 	// Pass 1: prewarm the suite with one worker and kill the run (ctx
 	// cancel) once the second benchmark's analysis lands. With workers=1
 	// the schedule is sequential, so exactly benchmarks 1-2 reach the
-	// store: bench 1 fully (profile, cluster, whole mix, whole cache),
-	// bench 2 through clustering.
+	// store: bench 1 fully (profile, bbv, cluster, whole run, native
+	// reference), bench 2 through clustering.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs.Enable(&cancelSink{after: 2, cancel: cancel})
@@ -126,14 +127,17 @@ func TestResumeAfterCancelledRun(t *testing.T) {
 	if warm != cold {
 		t.Error("resumed run is not byte-identical to the cold run")
 	}
-	// From disk: benchmark 1's profile, selection, whole mix and whole
-	// cache, and benchmark 2's profile and selection. Recomputed:
-	// benchmark 2's two whole runs, benchmark 3's four stages, and every
-	// benchmark's Fig8 live-points, which a prewarm never writes.
+	// From disk (5): benchmark 1's profile, selection and whole run, and
+	// benchmark 2's profile and selection. Recomputed (7): benchmark 2's
+	// whole run, benchmark 3's profile, selection and whole run, and every
+	// benchmark's Fig8 live-points, which a prewarm never writes. Fig7 and
+	// Fig8 share the one whole artifact, so Fig8 looks up no whole run.
+	// No bbv entry is read: every selection is served or recomputed with
+	// its profile.
 	hits := obs.GetCounter("store.hit").Value()
 	misses := obs.GetCounter("store.miss").Value()
-	if hits != 6 || misses != 9 {
-		t.Errorf("resumed run served %d stages from disk and recomputed %d; want 6 and 9", hits, misses)
+	if hits != 5 || misses != 7 {
+		t.Errorf("resumed run served %d stages from disk and recomputed %d; want 5 and 7", hits, misses)
 	}
 	if got := obs.GetCounter("store.corrupt").Value(); got != 0 {
 		t.Errorf("store.corrupt = %d after clean interrupt, want 0", got)
@@ -190,9 +194,11 @@ func TestCorruptCacheEntriesDegradeToRecompute(t *testing.T) {
 	if got := resumeSnapshot(t, benches, st); got != cold {
 		t.Fatal("cached cold run differs from storeless run")
 	}
+	// Per benchmark: profile, bbv, cluster, whole (Fig7 and Fig8 share
+	// it) and Fig8's live-points (warm).
 	stored := st.Len()
-	if stored == 0 {
-		t.Fatal("no artifacts stored")
+	if want := 5 * len(benches); stored != want {
+		t.Fatalf("stored %d artifacts, want %d", stored, want)
 	}
 
 	damaged := corruptArtifacts(t, dir)

@@ -93,7 +93,7 @@ type shootoutObs struct {
 
 // shootoutMeasure replays one repeat's selection and scores it against the
 // whole-run ground truth.
-func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg core.Config, whole wholeRun) (shootoutObs, error) {
+func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg core.Config, whole core.Measurement) (shootoutObs, error) {
 	var o shootoutObs
 	res, err := an.SelectWith(ctx, cfg)
 	if err != nil {
@@ -109,14 +109,15 @@ func (r *Runner) shootoutMeasure(ctx context.Context, an *core.Analysis, cfg cor
 		return o, err
 	}
 	mix, ch, cpi := m.Mix(), m.Cache(), m.CPI()
+	wmix, wch, wcpi := whole.Mix(), whole.Cache(), whole.CPI()
 	o.points = float64(res.NumPoints())
 	o.sampledPct = 100 * float64(res.SampledInstrs()) / float64(an.TotalInstrs)
-	o.cpiErrPct = stats.RelErrorPct(cpi.CPI, whole.cpi.CPI)
-	o.l1dErrPP = 100 * stats.AbsError(ch.L1D, whole.cache.L1D)
-	o.l2ErrPP = 100 * stats.AbsError(ch.L2, whole.cache.L2)
-	o.l3ErrPP = 100 * stats.AbsError(ch.L3, whole.cache.L3)
+	o.cpiErrPct = stats.RelErrorPct(cpi.CPI, wcpi.CPI)
+	o.l1dErrPP = 100 * stats.AbsError(ch.L1D, wch.L1D)
+	o.l2ErrPP = 100 * stats.AbsError(ch.L2, wch.L2)
+	o.l3ErrPP = 100 * stats.AbsError(ch.L3, wch.L3)
 	for c := 0; c < 4; c++ {
-		o.mixErrPP += 100 * stats.AbsError(mix.Fractions[c], whole.mix.Fractions[c]) / 4
+		o.mixErrPP += 100 * stats.AbsError(mix.Fractions[c], wmix.Fractions[c]) / 4
 	}
 	return o, nil
 }
@@ -142,7 +143,7 @@ func (r *Runner) Shootout(ctx context.Context) (*ShootoutResult, error) {
 		if err != nil {
 			return err
 		}
-		whole, err := r.whole(ctx, an, wholeKinds{mix: true, cache: true, cpi: true})
+		whole, err := r.whole(ctx, an)
 		if err != nil {
 			return err
 		}

@@ -61,8 +61,9 @@ import (
 // configuration, or the encoding of a stored payload changes; every
 // existing cache entry then misses cleanly. v2: profile slices are stored
 // in simpoint.Slice's compact binary form. v3: the profile stage is split
-// into the checkpoint-only profile and the bbv vectors.
-const Version = "specart-v3"
+// into the checkpoint-only profile and the bbv vectors. v4: the whole-run
+// mix, cache and CPI profiles are one whole artifact.
+const Version = "specart-v4"
 
 // Envelope framing: an 8-byte magic, the big-endian payload length, and the
 // CRC-64/ECMA of the payload, followed by the gob payload itself.
@@ -115,7 +116,7 @@ func Probe() {
 // Parts are the canonical configuration strings that, together with the
 // Version salt, form the content-addressing digest.
 type Key struct {
-	// Kind is the artifact family ("profile", "cluster", "whole_cache", …).
+	// Kind is the artifact family ("profile", "cluster", "whole", …).
 	Kind string
 	// Bench is the benchmark name the artifact belongs to.
 	Bench string
