@@ -42,12 +42,9 @@ func FuzzSliceUnmarshal(f *testing.F) {
 	// per-byte-bounded phases and headroom for the runtime.
 	budget := func(n int) uint64 { return 8*maxBBVLen + 16*uint64(n) + 4096 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		var s Slice
-		err := s.UnmarshalBinary(data)
-		runtime.ReadMemStats(&m1)
-		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget(len(data)) {
+		var err error
+		if got := minAlloc(func() { s = Slice{}; err = s.UnmarshalBinary(data) }); got > budget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {
@@ -64,6 +61,23 @@ func FuzzSliceUnmarshal(f *testing.F) {
 			t.Fatalf("round trip changed the encoding:\n in  %x\n out %x", data, back)
 		}
 	})
+}
+
+// minAlloc returns the fewest bytes any of three runs of decode allocated.
+// runtime.MemStats.TotalAlloc counts every goroutine's allocations, and a
+// fuzz worker runs others beside the fuzz function; they can only add to a
+// run's delta, while decode's own allocation is the same each run, so the
+// minimum is the one that bounds decode.
+func minAlloc(decode func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		decode()
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return best
 }
 
 // FuzzBBVUnmarshal feeds arbitrary bytes to the BBV decoder, seeded with
@@ -101,12 +115,9 @@ func FuzzBBVUnmarshal(f *testing.F) {
 
 	budget := func(n int) uint64 { return 8*maxBBVLen + 16*uint64(n) + 4096 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		var v BBV
-		err := v.UnmarshalBinary(data)
-		runtime.ReadMemStats(&m1)
-		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget(len(data)) {
+		var err error
+		if got := minAlloc(func() { v = nil; err = v.UnmarshalBinary(data) }); got > budget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {
