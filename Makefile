@@ -181,7 +181,11 @@ servesmoke:
 ## reads the profile checkpoints and no basic-block vectors: its trace has
 ## a store.get of kind profile and none of kind bbv. fig12 warms its
 ## regions up, so its cold run puts their live-points (kind warm) and its
-## warm run restores them from a store.get hit of that kind.
+## warm run restores them from a store.get hit of that kind. Last, a cold
+## fig7 and then fig8 into a second cache dir: fig7 puts the one Whole run
+## artifact (kind whole, mix, cache and CPI from one pass), and fig8 takes
+## its cache profile from a store.get hit of that kind and traces no
+## "whole" span.
 cachesmoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	trap 'rm -rf "$$dir"' EXIT; \
@@ -209,4 +213,15 @@ cachesmoke:
 		|| { echo "cachesmoke: cold fig12 stored no live-points"; exit 1; }; \
 	grep '"name":"store.get"' "$$dir/fig12.warm.trace" | grep '"kind":"warm"' | grep -q '"outcome":"hit"' \
 		|| { echo "cachesmoke: warm fig12 restored no live-points"; exit 1; }; \
-	echo "cachesmoke: warm tableII and fig12 byte-identical, served from the store without vectors, fig12 from live-points"
+	for run in fig7 fig8; do \
+		"$$dir/experiments" -run $$run -scale small \
+			-bench 505.mcf_r,503.bwaves_r -cache-dir "$$dir/wcache" \
+			-trace "$$dir/$$run.whole.trace" >/dev/null; \
+	done; \
+	grep '"name":"store.put"' "$$dir/fig7.whole.trace" | grep -q '"kind":"whole"' \
+		|| { echo "cachesmoke: cold fig7 stored no whole run"; exit 1; }; \
+	grep '"name":"store.get"' "$$dir/fig8.whole.trace" | grep '"kind":"whole"' | grep -q '"outcome":"hit"' \
+		|| { echo "cachesmoke: fig8 did not reuse fig7's whole run"; exit 1; }; \
+	! grep -q '"name":"whole"' "$$dir/fig8.whole.trace" \
+		|| { echo "cachesmoke: fig8 re-ran the whole program"; exit 1; }; \
+	echo "cachesmoke: warm tableII and fig12 byte-identical, served from the store without vectors, fig12 from live-points, fig8 from fig7's whole run"
