@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke golden
+.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke fuzzsmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke golden
 
 ## check: the pre-commit gate — gofmt, vet (root and e2ebench modules),
 ## the project's own static analysis (speclint), the unreachable-package
@@ -70,12 +70,27 @@ racesmoke:
 	$(GO) test -race -run 'TestLoadSmoke|TestDedupIdenticalConfigs|TestAdmissionAndLoadShedding|TestTraceIDPropagation' ./internal/serve
 	$(GO) test -race -run 'TestSelectorDeterminism|TestSelectorInvariants' ./internal/selector
 
-## golden: rewrite internal/experiments/testdata/report_small.golden.json,
-## the pinned -json report of `-run all -scale small` over the full suite
-## (wall-clock fields blanked) that TestReportGolden compares against. Run
-## it only for a change meant to move the reported numbers, on amd64.
+## fuzzsmoke: each decoder fuzzer for 10 s on one worker — the store's
+## slice, BBV, checkpoint run and live-point codecs and the daemon's submit
+## decoder. Not part of check. A new input found from a whole-profile seed
+## is minimised for at most 1 s, so the minimiser cannot take the run.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 -fuzz
+fuzzsmoke:
+	$(FUZZ) '^FuzzSliceUnmarshal$$' ./internal/simpoint
+	$(FUZZ) '^FuzzBBVUnmarshal$$' ./internal/simpoint
+	$(FUZZ) '^FuzzCheckpointRunUnmarshal$$' ./internal/simpoint
+	$(FUZZ) '^FuzzWarmStateUnmarshal$$' ./internal/core
+	$(FUZZ) '^FuzzSubmitDecode$$' ./internal/serve
+
+## golden: rewrite the pinned outputs: internal/experiments/testdata/
+## report_small.golden.json, the -json report of `-run all -scale small`
+## over the full suite (wall-clock fields blanked) that TestReportGolden
+## compares against, and examples/testdata/*.golden, each example's stdout
+## that TestExamplesGolden compares against. Run it only for a change meant
+## to move them, on amd64.
 golden:
 	$(GO) test -count=1 -run '^TestReportGolden$$' ./internal/experiments -update
+	$(GO) test -count=1 -run '^TestExamplesGolden$$' . -update
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:

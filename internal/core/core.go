@@ -112,13 +112,29 @@ func (c Config) selectorFor() (selector.Selector, error) {
 }
 
 // profileArtifact is the persisted form of the profile stage's
-// checkpoints: the slices, written with nil BBVs so that a warm job that
-// only cuts pinballs decodes no vectors, and the whole-run instruction
-// count. A slice that carries a BBV still decodes into it. Each slice is
-// stored in simpoint.Slice's compact binary form.
+// checkpoints: the slices without their BBVs, so that a warm job that only
+// cuts pinballs decodes no vectors, and the whole-run instruction count.
+// It is stored as one simpoint checkpoint run, so gob makes one codec call
+// per entry and the decode allocates the slices and their phase counters
+// once each.
 type profileArtifact struct {
 	Slices      []simpoint.Slice
 	TotalInstrs uint64
+}
+
+// MarshalBinary encodes the artifact as a checkpoint run.
+func (p profileArtifact) MarshalBinary() ([]byte, error) {
+	return simpoint.MarshalCheckpoints(p.Slices, p.TotalInstrs)
+}
+
+// UnmarshalBinary decodes a checkpoint run into p.
+func (p *profileArtifact) UnmarshalBinary(data []byte) error {
+	slices, total, err := simpoint.UnmarshalCheckpoints(data)
+	if err != nil {
+		return err
+	}
+	p.Slices, p.TotalInstrs = slices, total
+	return nil
 }
 
 // bbvArtifact is the persisted form of the profile stage's basic-block

@@ -11,10 +11,12 @@ import (
 	"specsampling/internal/program"
 )
 
-// The compact binary forms of a Slice and of a BBV. gob uses MarshalBinary
-// and UnmarshalBinary in place of its reflective encoding, so the store's
-// profile artifact carries every slice, and its bbv artifact every vector,
-// in these forms. A BBV is a count per static basic block and a slice
+// The compact binary forms of a Slice, of a BBV and of a checkpoint run.
+// gob uses MarshalBinary and UnmarshalBinary in place of its reflective
+// encoding, so the store's bbv artifact carries every vector in the BBV
+// form, core's profile artifact all of a profile's checkpoints as one
+// checkpoint run, and e2ebench's profile entries every slice in the Slice
+// form. A BBV is a count per static basic block and a slice
 // touches few of them (about 5 % non-zero across the suite), so the vector
 // is written sparse:
 //
@@ -36,6 +38,34 @@ import (
 // indices, non-zero stored values and no trailing bytes, so every accepted
 // encoding re-encodes to the same bytes. Empty Phases and BBVs decode as
 // nil, as they do from gob's struct encoding.
+//
+// A checkpoint run is what Profile returns without the BBVs, in one form:
+// every slice's length and start state in execution order, and the
+// whole-run instruction count. Consecutive checkpoints differ little (the
+// instruction count advances by the previous slice's length, and about one
+// phase's counters change per slice), so each is written as the difference
+// from what the previous one implies; the first follows the zero state of
+// a zero-length slice:
+//
+//	uvarint total instructions
+//	uvarint phase count P, at most maxPhases
+//	uvarint slice count
+//	per slice:
+//	        uvarint Len
+//	        varint  Start.Instrs - (previous Start.Instrs + previous Len)
+//	        varint  Start.Seg - previous Start.Seg
+//	        varint  Start.SegDone - implied, where implied is previous
+//	                SegDone + previous Len in the same segment and 0 in
+//	                another
+//	        varint  Start.BlockPos - previous Start.BlockPos
+//	        uvarint count of phases whose counters changed, then per such
+//	                phase uvarint gap to the previous one's index and
+//	                varint BlockExecs and Accesses deltas
+//
+// Differences wrap, so every state is representable. The run is canonical
+// too: a listed phase must change, a run of no slices has no phases, and
+// Index is the slice's position, so the encoder refuses a slice whose
+// Index is not its position or that carries a BBV.
 
 // BBV is one slice's basic-block vector as the store holds it apart from
 // the slice's checkpoint: a []float64 with the sparse binary form above.
@@ -46,13 +76,23 @@ type BBV []float64
 // above any program's static block count (the suite peaks near 300).
 const maxBBVLen = 1 << 16
 
+// maxPhases bounds a checkpoint run's phase count. Every decoded slice
+// holds that many phase counters however few bytes it takes, so the cap
+// bounds the decode's allocation per input byte; it is far above any
+// program's phase count (the suite peaks at 28).
+const maxPhases = 1 << 8
+
+// checkpointMin is the fewest bytes one slice of a checkpoint run takes:
+// its length, four start-state differences and a changed-phase count.
+const checkpointMin = 6
+
 // entryMin is the fewest bytes one sparse BBV entry takes: a one-byte gap
 // and the eight value bytes.
 const entryMin = 1 + 8
 
 // errCodec is the decoder's one failure: the input is not a canonical
-// slice or BBV encoding.
-var errCodec = errors.New("simpoint: malformed slice or BBV encoding")
+// slice, BBV or checkpoint run encoding.
+var errCodec = errors.New("simpoint: malformed slice, BBV or checkpoint encoding")
 
 // MarshalBinary encodes s in the compact form described above.
 func (s Slice) MarshalBinary() ([]byte, error) {
@@ -101,6 +141,139 @@ func (s *Slice) UnmarshalBinary(data []byte) error {
 	}
 	*s = out
 	return nil
+}
+
+// MarshalCheckpoints encodes slices and the whole-run instruction count
+// total as a checkpoint run. It fails if a slice carries a BBV, if its
+// Index is not its position, or if the slices' phase counts differ or
+// exceed maxPhases.
+func MarshalCheckpoints(slices []Slice, total uint64) ([]byte, error) {
+	phases := 0
+	if len(slices) > 0 {
+		phases = len(slices[0].Start.Phases)
+	}
+	if phases > maxPhases {
+		return nil, fmt.Errorf("simpoint: %d phases exceed %d", phases, maxPhases)
+	}
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(slices)*(checkpointMin+8))
+	b = binary.AppendUvarint(b, total)
+	b = binary.AppendUvarint(b, uint64(phases))
+	b = binary.AppendUvarint(b, uint64(len(slices)))
+	prev := Slice{Start: program.State{Phases: make([]program.PhaseState, phases)}}
+	for i, s := range slices {
+		switch {
+		case s.BBV != nil:
+			return nil, fmt.Errorf("simpoint: checkpoint %d carries a BBV", i)
+		case s.Index != i:
+			return nil, fmt.Errorf("simpoint: checkpoint %d has index %d", i, s.Index)
+		case len(s.Start.Phases) != phases:
+			return nil, fmt.Errorf("simpoint: checkpoint %d has %d phases, want %d", i, len(s.Start.Phases), phases)
+		}
+		st, ps := s.Start, prev.Start
+		b = binary.AppendUvarint(b, s.Len)
+		b = binary.AppendVarint(b, int64(st.Instrs-(ps.Instrs+prev.Len)))
+		b = binary.AppendVarint(b, int64(st.Seg)-int64(ps.Seg))
+		b = binary.AppendVarint(b, int64(st.SegDone-impliedSegDone(prev, st.Seg)))
+		b = binary.AppendVarint(b, int64(st.BlockPos)-int64(ps.BlockPos))
+		changed := 0
+		for j := range st.Phases {
+			if st.Phases[j] != ps.Phases[j] {
+				changed++
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(changed))
+		last := -1
+		for j, cur := range st.Phases {
+			if old := ps.Phases[j]; cur != old {
+				b = binary.AppendUvarint(b, uint64(j-last-1))
+				b = binary.AppendVarint(b, int64(cur.BlockExecs-old.BlockExecs))
+				b = binary.AppendVarint(b, int64(cur.Accesses-old.Accesses))
+				last = j
+			}
+		}
+		prev = s
+	}
+	return b, nil
+}
+
+// UnmarshalCheckpoints decodes a checkpoint run into its slices, with nil
+// BBVs, and the whole-run instruction count. The whole run is checked as
+// it is read: minimal varints, every count against the bytes left before
+// anything is allocated, the phase count against maxPhases, and no
+// trailing bytes. It allocates twice: the slices, and one array that holds
+// every slice's phase counters. Each slice's Phases is cut from that array
+// with its capacity equal to its length, so appending to one never writes
+// into the next.
+func UnmarshalCheckpoints(data []byte) ([]Slice, uint64, error) {
+	d := decoder{b: data}
+	total := d.uvarint()
+	phases := d.count(maxPhases)
+	n := d.count(uint64(len(d.b)) / checkpointMin)
+	if n == 0 && phases != 0 {
+		d.fail()
+	}
+	if d.err != nil || n == 0 {
+		if err := d.end(); err != nil {
+			return nil, 0, err
+		}
+		return nil, total, nil
+	}
+	out := make([]Slice, n)
+	var counters []program.PhaseState
+	if phases > 0 {
+		counters = make([]program.PhaseState, n*phases)
+	}
+	var prev Slice
+	for i := range out {
+		s := &out[i]
+		s.Index = i
+		s.Len = d.uvarint()
+		ps := prev.Start
+		s.Start.Instrs = ps.Instrs + prev.Len + uint64(d.varint())
+		s.Start.Seg = d.add(ps.Seg)
+		s.Start.SegDone = impliedSegDone(prev, s.Start.Seg) + uint64(d.varint())
+		s.Start.BlockPos = d.add(ps.BlockPos)
+		if phases > 0 {
+			ph := counters[i*phases : (i+1)*phases : (i+1)*phases]
+			copy(ph, ps.Phases)
+			s.Start.Phases = ph
+		}
+		changed := d.count(min(uint64(phases), uint64(len(d.b))/3))
+		last := -1
+		for j := 0; j < changed && d.err == nil; j++ {
+			gap := d.uvarint()
+			if gap >= uint64(phases-last-1) {
+				d.fail()
+				break
+			}
+			last += 1 + int(gap)
+			execs, accesses := d.varint(), d.varint()
+			if execs == 0 && accesses == 0 {
+				d.fail()
+			}
+			p := &s.Start.Phases[last]
+			p.BlockExecs += uint64(execs)
+			p.Accesses += uint64(accesses)
+		}
+		if d.err != nil {
+			break
+		}
+		prev = *s
+	}
+	if err := d.end(); err != nil {
+		return nil, 0, err
+	}
+	return out, total, nil
+}
+
+// impliedSegDone is the SegDone a checkpoint in segment seg has if it
+// directly follows prev: prev's plus prev's length in the same segment,
+// and 0 in another.
+func impliedSegDone(prev Slice, seg int) uint64 {
+	if seg != prev.Start.Seg {
+		return 0
+	}
+	return prev.Start.SegDone + prev.Len
 }
 
 // MarshalBinary encodes v in the sparse form described above.
@@ -212,13 +385,23 @@ func (d *decoder) uvarint() uint64 {
 	return x
 }
 
-// int reads a zig-zag varint that must fit an int.
-func (d *decoder) int() int {
+// varint reads a minimally encoded zig-zag varint.
+func (d *decoder) varint() int64 {
 	u := d.uvarint()
 	x := int64(u >> 1)
 	if u&1 != 0 {
 		x = ^x
 	}
+	return x
+}
+
+// int reads a zig-zag varint that must fit an int.
+func (d *decoder) int() int { return d.add(0) }
+
+// add reads a zig-zag varint difference from base; the sum wraps and must
+// fit an int.
+func (d *decoder) add(base int) int {
+	x := int64(base) + d.varint()
 	if int64(int(x)) != x {
 		d.fail()
 		return 0

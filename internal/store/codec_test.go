@@ -12,7 +12,10 @@ import (
 	"specsampling/internal/workload"
 )
 
-// profile mirrors the stored form of core's profile stage.
+// profile is the per-slice form e2ebench stores its profiles in: gob's
+// struct of slices, each in simpoint.Slice's compact binary form. (core's
+// profile stage stores one checkpoint run instead; its round trip is
+// tested in internal/core.)
 type profile struct {
 	Slices      []simpoint.Slice
 	TotalInstrs uint64
@@ -49,8 +52,8 @@ func sameSlice(t *testing.T, got, want simpoint.Slice) {
 	}
 }
 
-// TestProfileRoundTrip puts every suite benchmark's small-scale profile
-// through the store and reads it back field for field, plus hand-made
+// TestProfileRoundTrip puts every suite benchmark's small-scale profile in
+// the Slice codec through the store and reads it back field for field, plus hand-made
 // slices covering what the suite never produces: a nil BBV, nil phases and
 // signed-zero, negative and NaN values.
 func TestProfileRoundTrip(t *testing.T) {
@@ -118,58 +121,68 @@ type legacySlice struct {
 	BBV   []float64
 }
 
-// TestLegacyVersionEntryMissesCleanly: a profile written under specart-v1
-// holds slices in gob's struct form, which the current Slice decoder
-// rejects. Under its own digest the entry is simply never read, so it is a
+// TestLegacyVersionEntryMissesCleanly: a profile written under an older
+// Version is in an encoding the current profile decoder rejects: under
+// specart-v1 gob's struct form of each slice, under specart-v4 one
+// Slice-codec call per slice where core now stores one checkpoint run.
+// Under its own digest such an entry is simply never read, so it is a
 // clean miss; only under the current digest would it be quarantined, which
-// is why the version salt moved with the encoding.
+// is why the version salt moves with the encoding.
 func TestLegacyVersionEntryMissesCleanly(t *testing.T) {
-	const v1 = "specart-v1"
-	if Version == v1 {
-		t.Fatal("store.Version still specart-v1")
-	}
-	legacy := struct {
+	key := testKey("scale=small")
+	start := program.State{Phases: []program.PhaseState{{BlockExecs: 1}}}
+	v1 := struct {
 		Slices      []legacySlice
 		TotalInstrs uint64
-	}{[]legacySlice{{Index: 0, Len: 512, Start: program.State{Phases: []program.PhaseState{{BlockExecs: 1}}}, BBV: []float64{0, 3}}}, 512}
-	key := testKey("scale=small")
-
-	// writeLegacy stores the legacy payload under key and moves it to dst.
-	writeLegacy := func(s *Store, dst string) {
-		t.Helper()
-		if err := s.Put(ctx, key, legacy); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(s.path(key), dst); err != nil {
-			t.Fatal(err)
-		}
+	}{[]legacySlice{{Index: 0, Len: 512, Start: start, BBV: []float64{0, 3}}}, 512}
+	for _, legacy := range []struct {
+		version string
+		payload interface{}
+	}{
+		{"specart-v1", v1},
+		{"specart-v4", profile{[]simpoint.Slice{{Index: 0, Len: 512, Start: start}}, 512}},
+	} {
+		t.Run(legacy.version, func(t *testing.T) {
+			if Version == legacy.version {
+				t.Fatalf("store.Version still %s", legacy.version)
+			}
+			s := mustOpen(t)
+			if err := s.Put(ctx, key, legacy.payload); err != nil {
+				t.Fatal(err)
+			}
+			old := filepath.Join(s.Dir(), "profile", "505.mcf_r-"+key.digestAt(legacy.version)+".art")
+			if err := os.Rename(s.path(key), old); err != nil {
+				t.Fatal(err)
+			}
+			obs.ResetMetrics()
+			var out profile
+			if s.Get(ctx, key, &out) {
+				t.Fatalf("%s entry served", legacy.version)
+			}
+			if got := obs.GetCounter("store.corrupt").Value(); got != 0 {
+				t.Errorf("store.corrupt = %d, want 0", got)
+			}
+			if q := s.Quarantined(); len(q) != 0 {
+				t.Errorf("quarantined = %v, want none", q)
+			}
+			if _, err := os.Stat(old); err != nil {
+				t.Errorf("%s entry disturbed: %v", legacy.version, err)
+			}
+		})
 	}
 
+	// The specart-v1 bytes under the current digest are undecodable even
+	// as the per-slice form. (core's TestPerSliceProfileEntryRecomputes
+	// does the same for the specart-v4 form against the checkpoint run.)
 	s := mustOpen(t)
-	v1Path := filepath.Join(s.Dir(), "profile", "505.mcf_r-"+key.digestAt(v1)+".art")
-	writeLegacy(s, v1Path)
-	obs.ResetMetrics()
+	if err := s.Put(ctx, key, v1); err != nil {
+		t.Fatal(err)
+	}
 	var out profile
 	if s.Get(ctx, key, &out) {
-		t.Fatal("specart-v1 entry served")
-	}
-	if got := obs.GetCounter("store.corrupt").Value(); got != 0 {
-		t.Errorf("store.corrupt = %d, want 0", got)
-	}
-	if q := s.Quarantined(); len(q) != 0 {
-		t.Errorf("quarantined = %v, want none", q)
-	}
-	if _, err := os.Stat(v1Path); err != nil {
-		t.Errorf("specart-v1 entry disturbed: %v", err)
-	}
-
-	// The same bytes under the current digest are undecodable.
-	s2 := mustOpen(t)
-	writeLegacy(s2, s2.path(key))
-	if s2.Get(ctx, key, &out) {
 		t.Fatal("legacy slice encoding decoded as current")
 	}
-	if q := s2.Quarantined(); len(q) != 1 {
+	if q := s.Quarantined(); len(q) != 1 {
 		t.Errorf("quarantined = %v, want the one legacy entry", q)
 	}
 }

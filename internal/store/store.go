@@ -62,8 +62,9 @@ import (
 // existing cache entry then misses cleanly. v2: profile slices are stored
 // in simpoint.Slice's compact binary form. v3: the profile stage is split
 // into the checkpoint-only profile and the bbv vectors. v4: the whole-run
-// mix, cache and CPI profiles are one whole artifact.
-const Version = "specart-v4"
+// mix, cache and CPI profiles are one whole artifact. v5: the profile's
+// checkpoints are one delta-coded simpoint checkpoint run.
+const Version = "specart-v5"
 
 // Envelope framing: an 8-byte magic, the big-endian payload length, and the
 // CRC-64/ECMA of the payload, followed by the gob payload itself.
