@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke fuzzsmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke golden
+.PHONY: check vet e2evet lint deadpkg fmtcheck build test race racesmoke fuzzsmoke bench benchsmoke benchdiff benchrecord cachesmoke shootoutsmoke servesmoke golden loc
 
 ## check: the pre-commit gate — gofmt, vet (root and e2ebench modules),
 ## the project's own static analysis (speclint), the unreachable-package
@@ -91,6 +91,15 @@ fuzzsmoke:
 golden:
 	$(GO) test -count=1 -run '^TestReportGolden$$' ./internal/experiments -update
 	$(GO) test -count=1 -run '^TestExamplesGolden$$' . -update
+
+## loc: the Go line counts CHANGES.md records as each change's net line
+## delta: product is every non-test .go file outside e2ebench/ and
+## testdata/, tests are the _test.go files under the same rule. Not part of
+## check.
+loc:
+	@files="$$(find . -name '*.go' -not -path './e2ebench/*' -not -path '*/testdata/*')"; \
+	echo "product Go: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test Go:    $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 ## bench: one testing.B benchmark per paper table/figure, single iteration.
 bench:

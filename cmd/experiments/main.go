@@ -95,14 +95,8 @@ func run(ctx context.Context, args []string) error {
 	if _, err := selector.ByName(*sel); err != nil {
 		return cli.SelectorHint("experiments", err)
 	}
-	if *id != "all" {
-		known := false
-		for _, each := range experiments.IDs() {
-			known = known || each == *id
-		}
-		if !known {
-			return cli.Usagef("unknown experiment %q (want one of %s or all)", *id, strings.Join(experiments.IDs(), ", "))
-		}
+	if !experiments.Known(*id) {
+		return cli.Usagef("unknown experiment %q (want one of %s or all)", *id, strings.Join(experiments.IDs(), ", "))
 	}
 	st, err := cacheFlags.Open()
 	if err != nil {
@@ -146,9 +140,12 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	// interrupted maps a SIGINT cancellation to a clear, resumability-aware
-	// error (main turns it into exit status 130 via exitCode).
-	interrupted := func(err error) error {
+	fmt.Printf("reproducing %s: %s\n", *id, runner.Describe())
+	start := time.Now()
+	report := experiments.NewReport()
+	if err := runner.RunRecorded(ctx, *id, report); err != nil {
+		// A SIGINT cancellation gets a resumability-aware error (main turns
+		// it into exit status 130).
 		if !errors.Is(err, context.Canceled) {
 			return err
 		}
@@ -157,18 +154,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		return fmt.Errorf("interrupted by SIGINT (rerun with -cache-dir to make interrupted runs resumable): %w", err)
 	}
-
-	fmt.Printf("reproducing %s: %s\n", *id, runner.Describe())
-	start := time.Now()
-	if *jsonPath == "" {
-		if err := runner.Run(ctx, *id); err != nil {
-			return interrupted(err)
-		}
-	} else {
-		report := experiments.NewReport()
-		if err := runner.RunRecorded(ctx, *id, report); err != nil {
-			return interrupted(err)
-		}
+	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
 			return err

@@ -69,6 +69,9 @@ func logPinballs(ctx context.Context, args []string) error {
 	if *bench == "" {
 		return fmt.Errorf("missing -bench")
 	}
+	if *maxK < 1 {
+		return fmt.Errorf("-maxk %d: want at least 1", *maxK)
+	}
 	spec, err := workload.ByName(*bench)
 	if err != nil {
 		return err

@@ -19,6 +19,10 @@ func TestRunValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"log"}); err == nil {
 		t.Error("log without -bench accepted")
 	}
+	if err := run(context.Background(), []string{"log", "-bench", "505.mcf_r", "-scale", "small",
+		"-dir", t.TempDir(), "-maxk", "0"}); err == nil {
+		t.Error("log -maxk 0 accepted")
+	}
 	if err := run(context.Background(), []string{"replay"}); err == nil {
 		t.Error("replay without -pinball accepted")
 	}

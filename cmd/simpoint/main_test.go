@@ -20,6 +20,9 @@ func TestRunValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-bench", "505.mcf_r", "-scale", "nope"}); err == nil {
 		t.Error("unknown scale accepted")
 	}
+	if err := run(context.Background(), []string{"-bench", "505.mcf_r", "-scale", "small", "-maxk", "-5"}); err == nil {
+		t.Error("-maxk -5 accepted")
+	}
 }
 
 func TestRunWritesFiles(t *testing.T) {

@@ -2,7 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"specsampling/internal/cli"
 )
 
 func TestRunUsageErrors(t *testing.T) {
@@ -44,6 +47,11 @@ func TestPhasesValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"phases", "-bench", "505.mcf_r", "-scale", "nope"}); err == nil {
 		t.Error("unknown scale accepted")
+	}
+	for _, w := range []string{"0", "-1"} {
+		if err := run(context.Background(), []string{"phases", "-bench", "505.mcf_r", "-scale", "small", "-width", w}); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("-width %s: got %v, want a usage error", w, err)
+		}
 	}
 }
 

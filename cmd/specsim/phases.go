@@ -44,6 +44,9 @@ func phasesCmd(ctx context.Context, args []string) error {
 	if *bench == "" {
 		return cli.Usagef("missing -bench (run 'specsim list' to see the suite)")
 	}
+	if *width < 1 {
+		return cli.Usagef("-width %d: want at least 1", *width)
+	}
 	if _, err := selector.ByName(*sel); err != nil {
 		return cli.SelectorHint("specsim phases", err)
 	}

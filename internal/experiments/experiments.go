@@ -19,7 +19,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 
 	"specsampling/internal/cache"
 	"specsampling/internal/core"
@@ -94,8 +94,11 @@ type Runner struct {
 	// Figures that override a knob (Fig3b's slice length) copy it.
 	cfg core.Config
 
-	// analyzed counts completed per-benchmark analyses for progress events.
-	analyzed atomic.Int64
+	// mu guards the analyze progress: planned is every benchmark the runs
+	// so far analyse (the total), analyzed the analyses completed.
+	mu       sync.Mutex
+	planned  map[string]bool
+	analyzed int
 
 	// store is the optional persistent layer under the singleflight caches.
 	store *store.Store
@@ -132,7 +135,7 @@ func New(opts Options) (*Runner, error) {
 	if _, err := selector.ByName(cfg.Selector); err != nil {
 		return nil, err
 	}
-	return &Runner{opts: opts, specs: specs, cfg: cfg, store: opts.Store}, nil
+	return &Runner{opts: opts, specs: specs, cfg: cfg, store: opts.Store, planned: map[string]bool{}}, nil
 }
 
 // Config returns the unified analysis configuration the runner hands to
@@ -182,14 +185,20 @@ func (r *Runner) forEachSpec(ctx context.Context, fn func(i int, spec workload.S
 // persistent store (when configured) sits under the singleflight, so the
 // lookup order is memory cache → disk store → compute. Completed analyses
 // emit one progress event each, so a live run shows per-benchmark
-// advancement through the dominant pipeline stage.
+// advancement through the dominant pipeline stage, against the total of
+// benchmarks the runs so far plan to analyse.
 func (r *Runner) analysis(ctx context.Context, spec workload.Spec) (*core.Analysis, error) {
 	return r.analyses.Do(ctx, spec.Name, func() (*core.Analysis, error) {
 		an, err := core.AnalyzeStored(ctx, spec, r.cfg, r.store)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: analyze %s: %w", spec.Name, err)
 		}
-		obs.ProgressCtx(ctx, "analyze", int(r.analyzed.Add(1)), len(r.specs), spec.Name)
+		r.mu.Lock()
+		r.planned[spec.Name] = true
+		r.analyzed++
+		done, total := r.analyzed, len(r.planned)
+		r.mu.Unlock()
+		obs.ProgressCtx(ctx, "analyze", done, total, spec.Name)
 		return an, nil
 	})
 }
@@ -205,17 +214,22 @@ func (r *Runner) wholeKey(kind, bench string) store.Key {
 	}}
 }
 
-// whole returns (and caches) the benchmark's Whole run: one
-// core.MeasureWhole pass with every whole-run tool attached — ldstmix,
+// whole returns the benchmark's analysis and (caching it) its Whole run:
+// one core.MeasureWhole pass with every whole-run tool attached — ldstmix,
 // allcache over CacheConfig and the timing core of TimingConfig — as
 // PinPoints replays a Whole pinball once with all its Pintools. It is
 // stored as kind whole and looked up memory → disk → compute; callers read
 // the profile they compare against with Mix, Cache or CPI.
-func (r *Runner) whole(ctx context.Context, an *core.Analysis) (core.Measurement, error) {
-	return wholeKind(ctx, r, &r.wholes, "whole", an.Spec.Name, func() (core.Measurement, error) {
+func (r *Runner) whole(ctx context.Context, spec workload.Spec) (*core.Analysis, core.Measurement, error) {
+	an, err := r.analysis(ctx, spec)
+	if err != nil {
+		return nil, core.Measurement{}, err
+	}
+	w, err := wholeKind(ctx, r, &r.wholes, "whole", spec.Name, func() (core.Measurement, error) {
 		hier, tcfg := r.CacheConfig(), r.TimingConfig()
 		return an.MeasureWhole(ctx, core.Tools{Mix: true, Cache: &hier, CPI: &tcfg})
 	})
+	return an, w, err
 }
 
 // perfStat returns (and caches) the benchmark's native perf-stat counters,
@@ -257,21 +271,116 @@ func (r *Runner) printf(format string, args ...interface{}) {
 	fmt.Fprintf(r.opts.Out, format, args...)
 }
 
-// IDs enumerates the experiment identifiers Run accepts, in paper order.
-func IDs() []string {
-	return []string{
-		"tableI", "tableII", "tableIII",
-		"fig3a", "fig3b", "fig4", "fig5", "fig6",
-		"fig7", "fig8", "fig9", "fig10", "fig12",
-		"shootout",
-	}
+// need is what an experiment reads that Prewarm can compute ahead of it.
+type need uint8
+
+const (
+	// needAnalyses is every selected benchmark's analysis.
+	needAnalyses need = 1 << iota
+	// needWhole is every selected benchmark's analysis and whole artifact.
+	needWhole
+	// needNative is every selected benchmark's analysis and whole_native
+	// artifact.
+	needNative
+	// needFig3 is fig3Benchmark's analysis and whole artifact.
+	needFig3
+)
+
+// experiment is one entry of the paper's evaluation: its id, what Prewarm
+// computes for it, and its run, which prints the text rendition and returns
+// the typed result. A nil result is a pure configuration print and is not
+// recorded.
+type experiment struct {
+	id    string
+	needs need
+	run   func(ctx context.Context, r *Runner) (any, error)
 }
 
-// prewarmNeeds describes what one benchmark needs before the requested
-// experiments can run without recomputing anything.
-type prewarmNeeds struct {
+// table is the paper's evaluation in paper order, and the one place an
+// experiment id is spelled out: adding an experiment is adding an entry.
+var table = []experiment{
+	{"tableI", 0, func(_ context.Context, r *Runner) (any, error) { r.TableI(); return nil, nil }},
+	{"tableII", needAnalyses, func(ctx context.Context, r *Runner) (any, error) { return r.TableII(ctx) }},
+	{"tableIII", 0, func(_ context.Context, r *Runner) (any, error) { r.TableIII(); return nil, nil }},
+	{"fig3a", needFig3, func(ctx context.Context, r *Runner) (any, error) { return r.Fig3a(ctx, fig3Benchmark, nil) }},
+	{"fig3b", needFig3, func(ctx context.Context, r *Runner) (any, error) { return r.Fig3b(ctx, fig3Benchmark, nil) }},
+	{"fig4", needAnalyses, func(ctx context.Context, r *Runner) (any, error) { return r.Fig4(ctx, nil) }},
+	{"fig5", needAnalyses, func(ctx context.Context, r *Runner) (any, error) { return r.Fig5(ctx) }},
+	{"fig6", needAnalyses, func(ctx context.Context, r *Runner) (any, error) { return r.Fig6(ctx) }},
+	{"fig7", needWhole, func(ctx context.Context, r *Runner) (any, error) { return r.Fig7(ctx) }},
+	{"fig8", needWhole, func(ctx context.Context, r *Runner) (any, error) { return r.Fig8(ctx) }},
+	{"fig9", needWhole, func(ctx context.Context, r *Runner) (any, error) { return r.Fig9(ctx, nil) }},
+	{"fig10", needWhole, func(ctx context.Context, r *Runner) (any, error) { return r.Fig10(ctx) }},
+	{"fig12", needNative, func(ctx context.Context, r *Runner) (any, error) { return r.Fig12(ctx) }},
+	{"shootout", needWhole, func(ctx context.Context, r *Runner) (any, error) { return r.Shootout(ctx) }},
+}
+
+// IDs enumerates the experiment identifiers RunRecorded accepts, in paper
+// order.
+func IDs() []string {
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Known reports whether RunRecorded accepts id: an id of IDs() or "all".
+func Known(id string) bool {
+	_, err := entries(id)
+	return err == nil
+}
+
+// entries returns the table entries id names: one, or every entry for
+// "all".
+func entries(id string) ([]experiment, error) {
+	if id == "all" {
+		return table, nil
+	}
+	for i := range table {
+		if table[i].id == id {
+			return table[i : i+1], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %v or all)", id, IDs())
+}
+
+// prewarmJob is one benchmark's share of a Prewarm: its analysis, and the
+// whole-run artifacts the requested experiments read.
+type prewarmJob struct {
 	spec          workload.Spec
 	whole, native bool
+}
+
+// plan lists the benchmarks whose analyses n reads, with the whole-run
+// artifacts each needs, and adds them to the analyze progress total.
+func (r *Runner) plan(n need) ([]prewarmJob, error) {
+	var jobs []prewarmJob
+	if n&(needAnalyses|needWhole|needNative) != 0 {
+		for _, spec := range r.specs {
+			jobs = append(jobs, prewarmJob{spec, n&needWhole != 0, n&needNative != 0})
+		}
+	}
+	if n&needFig3 != 0 {
+		spec, err := workload.ByName(fig3Benchmark)
+		if err != nil {
+			return nil, err
+		}
+		i := 0
+		for i < len(jobs) && jobs[i].spec.Name != spec.Name {
+			i++
+		}
+		if i == len(jobs) {
+			jobs = append(jobs, prewarmJob{spec: spec})
+		}
+		jobs[i].whole = true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, job := range jobs {
+		r.planned[job.spec.Name] = true
+	}
+	return jobs, nil
 }
 
 // Prewarm precomputes, in parallel across the worker budget, every
@@ -282,133 +391,69 @@ type prewarmNeeds struct {
 // loops are parallel and the caches are singleflight either way — but it
 // front-loads the dominant cost into one suite-wide fan-out.
 func (r *Runner) Prewarm(ctx context.Context, ids ...string) error {
-	var suite, whole, native, fig3 bool
+	var n need
 	for _, id := range ids {
-		switch id {
-		case "all":
-			suite, whole, native, fig3 = true, true, true, true
-		case "tableII", "fig4", "fig5", "fig6":
-			suite = true
-		case "fig12":
-			suite, native = true, true
-		case "fig7", "fig8", "fig9", "fig10", "shootout":
-			suite, whole = true, true
-		case "fig3a", "fig3b":
-			fig3 = true
-		case "tableI", "tableIII":
-			// Pure configuration prints; nothing to warm.
-		default:
-			return fmt.Errorf("experiments: unknown experiment %q (want one of %v or all)", id, IDs())
-		}
-	}
-
-	var jobs []prewarmNeeds
-	if suite {
-		for _, spec := range r.specs {
-			jobs = append(jobs, prewarmNeeds{spec, whole, native})
-		}
-	}
-	if fig3 {
-		spec, err := workload.ByName(fig3Benchmark)
+		es, err := entries(id)
 		if err != nil {
 			return err
 		}
-		found := false
-		for i := range jobs {
-			if jobs[i].spec.Name == spec.Name {
-				jobs[i].whole = true
-				found = true
-			}
+		for _, e := range es {
+			n |= e.needs
 		}
-		if !found {
-			jobs = append(jobs, prewarmNeeds{spec: spec, whole: true})
-		}
+	}
+	jobs, err := r.plan(n)
+	if err != nil {
+		return err
 	}
 	return sched.ForEach(ctx, r.workers(), len(jobs), func(i int) error {
 		job := jobs[i]
 		an, err := r.analysis(ctx, job.spec)
-		if err != nil {
-			return err
+		if err == nil && job.whole {
+			_, _, err = r.whole(ctx, job.spec)
 		}
-		if job.whole {
-			if _, err := r.whole(ctx, an); err != nil {
-				return err
-			}
-		}
-		if job.native {
+		if err == nil && job.native {
 			_, err = r.perfStat(ctx, an)
 		}
 		return err
 	})
 }
 
-// Run executes one experiment by id ("all" prewarms the shared analyses in
-// parallel, then runs every experiment in paper order). The run announces
-// its configuration through the progress sink on entry; ctx cancellation
-// aborts between (and inside) stages.
-func (r *Runner) Run(ctx context.Context, id string) error {
+// RunRecorded executes one experiment by id ("all" prewarms the shared
+// analyses in parallel, then runs every experiment in paper order) and
+// records each typed result into the report. The run announces its
+// configuration through the progress sink on entry; ctx cancellation aborts
+// between (and inside) stages.
+func (r *Runner) RunRecorded(ctx context.Context, id string, report *Report) error {
 	obs.HeaderfCtx(ctx, "%s", r.Describe())
-	run := func(id string) error {
-		ctx, span := obs.Start(ctx, "experiment", obs.String("id", id))
-		defer span.End()
-		switch id {
-		case "tableI":
-			r.TableI()
-			return nil
-		case "tableII":
-			_, err := r.TableII(ctx)
+	es, err := entries(id)
+	if err != nil {
+		return err
+	}
+	if id != "all" {
+		if _, err := r.plan(es[0].needs); err != nil {
 			return err
-		case "tableIII":
-			r.TableIII()
-			return nil
-		case "fig3a":
-			_, err := r.Fig3a(ctx, fig3Benchmark, nil)
+		}
+		return r.record(ctx, es[0], report)
+	}
+	if err := r.Prewarm(ctx, "all"); err != nil {
+		return err
+	}
+	for i, e := range es {
+		obs.ProgressCtx(ctx, "experiment", i+1, len(es), e.id)
+		if err := r.record(ctx, e, report); err != nil {
 			return err
-		case "fig3b":
-			_, err := r.Fig3b(ctx, fig3Benchmark, nil)
-			return err
-		case "fig4":
-			_, err := r.Fig4(ctx, nil)
-			return err
-		case "fig5":
-			_, err := r.Fig5(ctx)
-			return err
-		case "fig6":
-			_, err := r.Fig6(ctx)
-			return err
-		case "fig7":
-			_, err := r.Fig7(ctx)
-			return err
-		case "fig8":
-			_, err := r.Fig8(ctx)
-			return err
-		case "fig9":
-			_, err := r.Fig9(ctx, nil)
-			return err
-		case "fig10":
-			_, err := r.Fig10(ctx)
-			return err
-		case "fig12":
-			_, err := r.Fig12(ctx)
-			return err
-		case "shootout":
-			_, err := r.Shootout(ctx)
-			return err
-		default:
-			return fmt.Errorf("experiments: unknown experiment %q (want one of %v or all)", id, IDs())
 		}
 	}
-	if id == "all" {
-		if err := r.Prewarm(ctx, "all"); err != nil {
-			return err
-		}
-		for i, each := range IDs() {
-			obs.ProgressCtx(ctx, "experiment", i+1, len(IDs()), each)
-			if err := run(each); err != nil {
-				return err
-			}
-		}
-		return nil
+	return nil
+}
+
+// record runs one experiment under its span and records a non-nil result.
+func (r *Runner) record(ctx context.Context, e experiment, report *Report) error {
+	ctx, span := obs.Start(ctx, "experiment", obs.String("id", e.id))
+	defer span.End()
+	res, err := e.run(ctx, r)
+	if err == nil && res != nil {
+		report.Record(e.id, res)
 	}
-	return run(id)
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRunUnknownID(t *testing.T) {
 	r := testRunner(t, nil)
-	if err := r.Run(tctx, "fig99"); err == nil {
+	if err := r.RunRecorded(tctx, "fig99", NewReport()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -354,8 +355,14 @@ func TestRunAllOnSingleBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(tctx, "all"); err != nil {
+	report := NewReport()
+	if err := r.RunRecorded(tctx, "all", report); err != nil {
 		t.Fatal(err)
+	}
+	// Every experiment but the configuration prints tableI and tableIII
+	// records a result.
+	if report.Len() != 12 {
+		t.Errorf("recorded %d results, want 12", report.Len())
 	}
 	for _, want := range []string{"Table I", "Table II", "Table III",
 		"Figure 3(a)", "Figure 3(b)", "Figure 4", "Figure 5", "Figure 6",
@@ -434,6 +441,85 @@ func (s *spanSink) SpanEnd(sd *obs.SpanData) {
 	s.mu.Lock()
 	s.passes[bench]++
 	s.mu.Unlock()
+}
+
+// TestPrewarmCoversEachExperiment checks each table entry's needs: after
+// Prewarm(id), RunRecorded(id) runs no whole-program or native pass and no
+// analysis beyond Fig3b's own per-slice-size analyses.
+func TestPrewarmCoversEachExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one runner per experiment in -short mode")
+	}
+	for _, id := range IDs() {
+		r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: []string{"505.mcf_r"}, ShootoutRepeats: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Prewarm(tctx, id); err != nil {
+			t.Fatal(err)
+		}
+		wholes, natives, analyses := newSpanSink("whole"), newSpanSink("native"), newSpanSink("analyze")
+		obs.Enable(wholes, natives, analyses)
+		err = r.RunRecorded(tctx, id, NewReport())
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAnalyses := map[string]int{}
+		if id == "fig3b" {
+			wantAnalyses[fig3Benchmark] = 5 // the paper's five slice sizes
+		}
+		if len(wholes.passes) != 0 || len(natives.passes) != 0 || !reflect.DeepEqual(analyses.passes, wantAnalyses) {
+			t.Errorf("%s after Prewarm: whole %v, native %v, analyze %v; want none but analyze %v",
+				id, wholes.passes, natives.passes, analyses.passes, wantAnalyses)
+		}
+	}
+}
+
+// progressSink keeps the analyze progress events.
+type progressSink struct {
+	mu     sync.Mutex
+	events []obs.ProgressEvent
+}
+
+func (s *progressSink) SpanEnd(*obs.SpanData) {}
+func (s *progressSink) Close() error          { return nil }
+func (s *progressSink) Progress(ev obs.ProgressEvent) {
+	if ev.Stage != "analyze" {
+		return
+	}
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+// TestAnalyzeProgressWithinTotal checks that the analyze progress total
+// counts the benchmarks the runs analyse: Fig. 3's benchmark outside the
+// selected suite counts too, so done never exceeds total.
+func TestAnalyzeProgressWithinTotal(t *testing.T) {
+	r, err := New(Options{Scale: workload.ScaleSmall, Benchmarks: []string{"505.mcf_r"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &progressSink{}
+	obs.Enable(sink)
+	for _, id := range []string{"tableII", "fig3a"} {
+		if err = r.RunRecorded(tctx, id, NewReport()); err != nil {
+			break
+		}
+	}
+	obs.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.events) != 2 {
+		t.Fatalf("%d analyze events, want 2: %+v", len(sink.events), sink.events)
+	}
+	for i, ev := range sink.events {
+		if ev.Done != i+1 || ev.Total != i+1 {
+			t.Errorf("analyze event %d is (%d/%d) %s, want (%d/%d)", i, ev.Done, ev.Total, ev.Msg, i+1, i+1)
+		}
+	}
 }
 
 // TestPrewarmOneWholePassPerBenchmark checks that the shoot-out's three

@@ -38,25 +38,9 @@ func (r *Runner) Fig3a(ctx context.Context, bench string, maxKs []int) (*SweepRe
 	if maxKs == nil {
 		maxKs = []int{15, 20, 25, 30, 35}
 	}
-	spec, err := workload.ByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	an, err := r.analysis(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	res := &SweepResult{Benchmark: spec.Name}
-	w, err := r.whole(ctx, an)
-	if err != nil {
-		return nil, err
-	}
-	res.Whole.Mix, res.Whole.Cache = w.Mix(), w.Cache()
-	if res.Points, err = an.SweepMaxK(ctx, maxKs, r.CacheConfig()); err != nil {
-		return nil, err
-	}
-	r.printSweep("Figure 3(a): MaxK sensitivity, "+spec.Name, res)
-	return res, nil
+	return r.sweep(ctx, bench, "Figure 3(a): MaxK sensitivity, ", func(an *core.Analysis) ([]core.SweepPoint, error) {
+		return an.SweepMaxK(ctx, maxKs, r.CacheConfig())
+	})
 }
 
 // Fig3b sweeps the slice size for one benchmark at MaxK 35, with the
@@ -66,33 +50,32 @@ func (r *Runner) Fig3b(ctx context.Context, bench string, paperSizes []uint64) (
 	if paperSizes == nil {
 		paperSizes = []uint64{15_000_000, 25_000_000, 30_000_000, 50_000_000, 100_000_000}
 	}
+	return r.sweep(ctx, bench, "Figure 3(b): slice-size sensitivity, ", func(an *core.Analysis) ([]core.SweepPoint, error) {
+		return core.SweepSliceSize(ctx, an.Spec, r.cfg, paperSizes, r.CacheConfig())
+	})
+}
+
+// sweep is one Figure 3 study of bench: the whole-run reference, the
+// swept points, and their table under title.
+func (r *Runner) sweep(ctx context.Context, bench, title string, points func(*core.Analysis) ([]core.SweepPoint, error)) (*SweepResult, error) {
 	spec, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	an, err := r.analysis(ctx, spec)
+	an, w, err := r.whole(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	res := &SweepResult{Benchmark: spec.Name}
-	w, err := r.whole(ctx, an)
-	if err != nil {
-		return nil, err
-	}
 	res.Whole.Mix, res.Whole.Cache = w.Mix(), w.Cache()
-	if res.Points, err = core.SweepSliceSize(ctx, spec, r.cfg, paperSizes, r.CacheConfig()); err != nil {
+	if res.Points, err = points(an); err != nil {
 		return nil, err
 	}
-	r.printSweep("Figure 3(b): slice-size sensitivity, "+spec.Name, res)
-	return res, nil
-}
-
-func (r *Runner) printSweep(title string, res *SweepResult) {
 	t := textplot.NewTable("Config", "Points",
 		"NO_MEM", "MEM_R", "MEM_W", "MEM_RW",
 		"L1D miss", "L2 miss", "L3 miss")
-	addRow := func(label string, points int, mix core.MixProfile, cp core.CacheProfile) {
-		t.AddRow(label, itoa(points),
+	addRow := func(label string, n int, mix core.MixProfile, cp core.CacheProfile) {
+		t.AddRow(label, itoa(n),
 			pct(mix.Fractions[0]), pct(mix.Fractions[1]), pct(mix.Fractions[2]), pct(mix.Fractions[3]),
 			pct(cp.L1D), pct(cp.L2), pct(cp.L3))
 	}
@@ -100,7 +83,8 @@ func (r *Runner) printSweep(title string, res *SweepResult) {
 	for _, p := range res.Points {
 		addRow(p.Label, p.NumPoints, p.Mix, p.Cache)
 	}
-	r.printf("\n== %s ==\n%s", title, t.String())
+	r.printf("\n== %s%s ==\n%s", title, spec.Name, t.String())
+	return res, nil
 }
 
 // ----------------------------------------------------------------- Fig 4 --
@@ -315,11 +299,7 @@ type Fig7Result struct {
 func (r *Runner) Fig7(ctx context.Context) (*Fig7Result, error) {
 	res := &Fig7Result{Rows: make([]Fig7Row, len(r.specs))}
 	if err := r.forEachSpec(ctx, func(i int, spec workload.Spec) error {
-		an, err := r.analysis(ctx, spec)
-		if err != nil {
-			return err
-		}
-		w, err := r.whole(ctx, an)
+		an, w, err := r.whole(ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -421,11 +401,7 @@ func (r *Runner) Fig8(ctx context.Context) (*Fig8Result, error) {
 		res := &Fig8Result{Rows: make([]Fig8Row, len(r.specs))}
 		hier := r.CacheConfig()
 		if err := r.forEachSpec(ctx, func(i int, spec workload.Spec) error {
-			an, err := r.analysis(ctx, spec)
-			if err != nil {
-				return err
-			}
-			w, err := r.whole(ctx, an)
+			an, w, err := r.whole(ctx, spec)
 			if err != nil {
 				return err
 			}
@@ -569,13 +545,11 @@ func (r *Runner) Fig9(ctx context.Context, percentiles []float64) ([]Fig9Point, 
 	}
 	sweeps := make([]specSweep, len(r.specs))
 	if err := r.forEachSpec(ctx, func(i int, spec workload.Spec) error {
-		an, err := r.analysis(ctx, spec)
+		an, w, err := r.whole(ctx, spec)
 		if err != nil {
 			return err
 		}
-		if sweeps[i].whole, err = r.whole(ctx, an); err != nil {
-			return err
-		}
+		sweeps[i].whole = w
 		sweeps[i].pts, err = an.PercentileSweep(ctx, percentiles, hier)
 		return err
 	}); err != nil {

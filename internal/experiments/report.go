@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
-
-	"specsampling/internal/obs"
 )
 
 // Report accumulates the structured results of the experiments a Runner has
@@ -68,109 +65,4 @@ func (r *Report) WriteJSON(w io.Writer, scale string, benchmarks []string) error
 		return fmt.Errorf("experiments: encode report: %w", err)
 	}
 	return nil
-}
-
-// RunRecorded executes one experiment (or "all") like Run, additionally
-// recording each structured result into the report.
-func (r *Runner) RunRecorded(ctx context.Context, id string, report *Report) error {
-	obs.HeaderfCtx(ctx, "%s", r.Describe())
-	run := func(id string) error {
-		ctx, span := obs.Start(ctx, "experiment", obs.String("id", id))
-		defer span.End()
-		switch id {
-		case "tableI":
-			r.TableI()
-			return nil
-		case "tableIII":
-			r.TableIII()
-			return nil
-		case "tableII":
-			res, err := r.TableII(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig3a":
-			res, err := r.Fig3a(ctx, fig3Benchmark, nil)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig3b":
-			res, err := r.Fig3b(ctx, fig3Benchmark, nil)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig4":
-			res, err := r.Fig4(ctx, nil)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig5":
-			res, err := r.Fig5(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig6":
-			res, err := r.Fig6(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig7":
-			res, err := r.Fig7(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig8":
-			res, err := r.Fig8(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig9":
-			res, err := r.Fig9(ctx, nil)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig10":
-			res, err := r.Fig10(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "fig12":
-			res, err := r.Fig12(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		case "shootout":
-			res, err := r.Shootout(ctx)
-			if err == nil {
-				report.Record(id, res)
-			}
-			return err
-		default:
-			return fmt.Errorf("experiments: unknown experiment %q (want one of %v or all)", id, IDs())
-		}
-	}
-	if id == "all" {
-		if err := r.Prewarm(ctx, "all"); err != nil {
-			return err
-		}
-		for i, each := range IDs() {
-			obs.ProgressCtx(ctx, "experiment", i+1, len(IDs()), each)
-			if err := run(each); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return run(id)
 }

@@ -139,11 +139,7 @@ func (r *Runner) Shootout(ctx context.Context) (*ShootoutResult, error) {
 	obsGrid := make([][][]shootoutObs, len(r.specs))
 
 	if err := r.forEachSpec(ctx, func(i int, spec workload.Spec) error {
-		an, err := r.analysis(ctx, spec)
-		if err != nil {
-			return err
-		}
-		whole, err := r.whole(ctx, an)
+		an, whole, err := r.whole(ctx, spec)
 		if err != nil {
 			return err
 		}

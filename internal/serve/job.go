@@ -50,17 +50,8 @@ func (r JobRequest) validate() (JobRequest, workload.Scale, error) {
 	if r.Run == "" {
 		r.Run = "all"
 	}
-	if r.Run != "all" {
-		known := false
-		for _, id := range experiments.IDs() {
-			if id == r.Run {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return r, workload.Scale{}, fmt.Errorf("unknown run %q (want one of %v or all)", r.Run, experiments.IDs())
-		}
+	if !experiments.Known(r.Run) {
+		return r, workload.Scale{}, fmt.Errorf("unknown run %q (want one of %v or all)", r.Run, experiments.IDs())
 	}
 	if r.Scale == "" {
 		r.Scale = "medium"
@@ -102,13 +93,7 @@ func (r JobRequest) validate() (JobRequest, workload.Scale, error) {
 // therefore the same computation, exactly when their pipeline artifacts
 // would share cache entries.
 func (r JobRequest) key() string {
-	rep := r.Repeats
-	if rep <= 0 {
-		rep = experiments.DefaultShootoutRepeats
-	}
-	if rep < 2 {
-		rep = 2
-	}
+	rep := experiments.Options{ShootoutRepeats: r.Repeats}.Normalize().ShootoutRepeats
 	return store.Key{Kind: "servejob", Bench: "suite", Parts: []string{
 		"run=" + r.Run,
 		"scale=" + r.Scale,

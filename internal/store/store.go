@@ -1,11 +1,14 @@
 // Package store is the pipeline's persistent artifact cache: a
 // content-addressed, on-disk store for the expensive stage outputs of the
-// reproduction (per-benchmark BBV profiles, SimPoint clusterings and
-// whole-run replay profiles). It is the durable layer behind the in-memory
-// singleflight caches — the lookup order everywhere is memory cache → disk
-// store → compute — and it is what makes an interrupted suite run resumable:
-// artifacts written before the interruption are served from disk on restart,
-// so only the unfinished stages recompute.
+// reproduction. The kinds stored are profile (a benchmark's slice
+// checkpoints), bbv (its basic-block vectors), cluster (a region
+// selection), whole (the Whole run's measurement), whole_native (Figure
+// 12's native counters) and warm (the regions' warmed live-points). It is
+// the durable layer behind the in-memory singleflight caches — the lookup
+// order everywhere is memory cache → disk store → compute — and it is what
+// makes an interrupted suite run resumable: artifacts written before the
+// interruption are served from disk on restart, so only the unfinished
+// stages recompute.
 //
 // Keys are canonical: a Key names the artifact kind, the benchmark, and the
 // exact configuration parts that determine the artifact's bytes (scale,
