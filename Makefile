@@ -60,7 +60,7 @@ race:
 ## the exact tests whose guarantees the parallel kernels could quietly
 ## break. Far faster than `make race`; the full sweep remains available.
 racesmoke:
-	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|FuzzBoundedMatchesPlain' ./internal/kmeans
+	$(GO) test -race -run 'TestRunIdenticalAcrossWorkerCounts|TestRunIdenticalAcrossRepeats|TestBestKIdenticalAcrossWorkerCounts|TestBestKWeightedIdenticalAcrossWorkerCounts|TestBoundedMatchesPlain|TestBestKBoundedMatchesPlain|TestSeedBoundsAreLowerBounds|FuzzBoundedMatchesPlain' ./internal/kmeans
 	$(GO) test -race -run 'TestFiguresIdenticalAcrossWorkerCounts|TestResumeAfterCancelledRun|TestCorruptCacheEntriesDegradeToRecompute|TestFig12NativeServedFromStore|TestLivePointsBitIdentical' ./internal/experiments
 	$(GO) test -race -run 'TestWarmSelectionMatchesColdConcurrently' ./internal/core
 	$(GO) test -race -run 'TestReplayerReusedMatchesFresh|TestReplaySuiteMatchesReplayAll|TestReplayAllParallelMatchesSequential' ./internal/pinball

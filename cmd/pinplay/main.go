@@ -72,6 +72,9 @@ func logPinballs(ctx context.Context, args []string) error {
 	if *maxK < 1 {
 		return fmt.Errorf("-maxk %d: want at least 1", *maxK)
 	}
+	if *warmup < 0 {
+		return fmt.Errorf("-warmup %d: want at least 0", *warmup)
+	}
 	spec, err := workload.ByName(*bench)
 	if err != nil {
 		return err

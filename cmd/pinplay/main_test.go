@@ -23,6 +23,10 @@ func TestRunValidation(t *testing.T) {
 		"-dir", t.TempDir(), "-maxk", "0"}); err == nil {
 		t.Error("log -maxk 0 accepted")
 	}
+	if err := run(context.Background(), []string{"log", "-bench", "505.mcf_r", "-scale", "small",
+		"-dir", t.TempDir(), "-warmup", "-3"}); err == nil {
+		t.Error("log -warmup -3 accepted")
+	}
 	if err := run(context.Background(), []string{"replay"}); err == nil {
 		t.Error("replay without -pinball accepted")
 	}

@@ -51,6 +51,9 @@ func run(ctx context.Context, args []string) error {
 	if *maxK < 1 {
 		return fmt.Errorf("-maxk %d: want at least 1", *maxK)
 	}
+	if !(*percentile >= 0 && *percentile <= 1) {
+		return fmt.Errorf("-percentile %v: want a value in (0,1], or 0 to disable", *percentile)
+	}
 	spec, err := workload.ByName(*bench)
 	if err != nil {
 		return err

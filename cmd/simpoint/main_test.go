@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"specsampling/internal/simpoint"
@@ -22,6 +23,13 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-bench", "505.mcf_r", "-scale", "small", "-maxk", "-5"}); err == nil {
 		t.Error("-maxk -5 accepted")
+	}
+	// The range is checked before the analysis, with the flag's own message.
+	for _, p := range []string{"1.5", "-0.5"} {
+		err := run(context.Background(), []string{"-bench", "505.mcf_r", "-scale", "small", "-percentile", p})
+		if err == nil || !strings.HasPrefix(err.Error(), "-percentile "+p+":") {
+			t.Errorf("-percentile %s: err = %v, want a -percentile range error", p, err)
+		}
 	}
 }
 

@@ -11,14 +11,14 @@ import (
 // a point's assigned one.
 //
 // Per point i and centroid c the kernel keeps lb[i·k+c], a lower bound on
-// the distance (not squared) from the point to the centroid. A full scan
-// sets every bound from the exact distance (or, for centroids the norm bound
-// pruned, from |‖x‖−‖c‖|); after every centroid update each bound decays by
-// its own centroid's movement (triangle inequality: a centroid that moved
-// by m cannot have come more than m closer). At the next iteration the
-// kernel recomputes the exact distance to the assigned centroid a — with the
-// plain scan's expression, so minD stays bit-exact — and computes a rival's
-// distance only when neither its bound nor the norm bound puts it beyond
+// the distance (not squared) from the point to the centroid. Seeding sets
+// the first bounds (updateD2Bounded), a fallback scan a point's exact ones;
+// after every centroid update each bound decays by its own centroid's
+// movement (triangle inequality: a centroid that moved by m cannot have
+// come more than m closer). Each iteration the kernel recomputes the exact
+// distance to the assigned centroid a — with the plain scan's expression, so
+// minD stays bit-exact — and computes a rival's distance only when neither
+// its bound nor the norm bound puts it beyond
 //
 //	t = √d(x, c_a) + margin.
 //
@@ -97,22 +97,7 @@ func scanPointFull(m *matrix, sc *scratch, i, k int, margin float64, lb []float6
 	return best, bestD
 }
 
-// assignPointsFull is the bounded kernel's full-scan pass: plain-identical
-// assignment plus initial lower bounds. It runs on the first Lloyd
-// iteration, when no bounds exist yet.
-func assignPointsFull(m *matrix, sc *scratch, k, workers int, margin float64) {
-	if workers > 1 && m.n*k*m.d < minParallelOps {
-		workers = 1
-	}
-	parallelChunks(workers, m.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sc.assign[i], sc.minD[i] = scanPointFull(m, sc, i, k, margin, sc.lb[i*k:(i+1)*k])
-		}
-	})
-	boundsScanCounter.Add(int64(m.n))
-}
-
-// assignPointsBounded is the bounded kernel's steady-state pass. Per point
+// assignPointsBounded is the bounded kernel's assignment pass. Per point
 // it recomputes the exact distance to the previously assigned centroid,
 // applies the last update's decay (sc.move) to the point's bounds, and
 // computes only the rivals that the bounds cannot exclude; the partial
@@ -213,12 +198,13 @@ func centroidMoves(m *matrix, sc *scratch, k int, margin float64) {
 }
 
 // updateD2Bounded is the k-means++ D² update for the newest centre, picked,
-// with a triangle-inequality skip: if half the distance from point i's
-// nearest centre to the new one exceeds √d2[i] by the margin, the new
+// with a triangle-inequality skip: if h, half the distance from point i's
+// nearest centre to the new one less the margin, exceeds √d2[i], the new
 // centre is strictly farther than d2[i] and the plain update would leave it
 // untouched. sqDist is the direct form, so the only rounding to cover is its
-// small relative error, far inside margin.
-func updateD2Bounded(m *matrix, sc *scratch, picked int, margin float64) {
+// small relative error, far inside margin. It records lb[i·k+picked] too: a
+// skip implies d(x, c_new) > h + 2·margin, so h is a deflated bound as well.
+func updateD2Bounded(m *matrix, sc *scratch, k, picked int, margin float64) {
 	d := m.d
 	c := sc.cents[picked*d : (picked+1)*d]
 	for j := 0; j < picked; j++ {
@@ -227,9 +213,12 @@ func updateD2Bounded(m *matrix, sc *scratch, picked int, margin float64) {
 	d2, near := sc.d2, sc.near
 	for i := 0; i < m.n; i++ {
 		if h := sc.ccHalf[near[i]]; h > 0 && h*h > d2[i] {
+			sc.lb[i*k+picked] = h
 			continue
 		}
-		if dd := sqDist(m.row(i), c); dd < d2[i] {
+		dd := sqDist(m.row(i), c)
+		sc.lb[i*k+picked] = math.Sqrt(dd) - margin
+		if dd < d2[i] {
 			d2[i] = dd
 			near[i] = picked
 		}

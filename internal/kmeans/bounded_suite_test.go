@@ -55,7 +55,7 @@ func requireIdenticalResults(t *testing.T, a, b *kmeans.Result, label string) {
 // then L1-normalise and randomly project each vector. These are the points
 // the production pipeline actually clusters, so pinning bounded-vs-plain
 // identity here pins the pipeline, not just synthetic Gaussians.
-func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
+func suiteFixturePoints(t testing.TB, name string, seed uint64) [][]float64 {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -80,6 +80,12 @@ func suiteFixturePoints(t *testing.T, name string, seed uint64) [][]float64 {
 		points[i] = proj.Project(v)
 	}
 	return points
+}
+
+func init() {
+	kmeans.SuiteFixture = func(tb testing.TB, name string) [][]float64 {
+		return suiteFixturePoints(tb, name, simpoint.DefaultSeed)
+	}
 }
 
 // TestBoundedMatchesPlainOnSuiteFixtures is the satellite determinism test:
@@ -189,11 +195,17 @@ func TestBoundedSkipsWork(t *testing.T) {
 		_, err := kmeans.Run(points, 8, kmeans.Config{Restarts: 1, MaxIter: 40, Seed: 5})
 		return err
 	})
+	t.Logf("gaussian: skips=%d scans=%d", skips, scans)
 	if skips == 0 {
 		t.Fatalf("bounded kernel never skipped a scan (scans=%d)", scans)
 	}
 	if skips < scans {
 		t.Errorf("bounds too weak: %d skips vs %d scans on separated clusters", skips, scans)
+	}
+	// Iteration 0 starts from the bounds seeding left, so the restart does
+	// not open with a full scan of every point.
+	if n := int64(len(points)); scans >= n/2 {
+		t.Errorf("%d scans in a single restart over %d points: iteration 0 is not starting from the seeding's bounds", scans, n)
 	}
 
 	for _, fx := range []struct {
@@ -221,6 +233,28 @@ func TestBoundedSkipsWork(t *testing.T) {
 		}
 		if fallbacks*100 >= scans {
 			t.Errorf("%s: %d fallbacks is not under 1%% of %d scans", fx.name, fallbacks, scans)
+		}
+	}
+}
+
+// BenchmarkBestKSuite times the production clustering sweep on the points
+// the pipeline clusters: BestK at simpoint.DefaultMaxK with DefaultConfig
+// and one worker over three suite fixtures per op. Run it with
+// `go test -run '^$' -bench BestKSuite ./internal/kmeans`.
+func BenchmarkBestKSuite(b *testing.B) {
+	var fixtures [][][]float64
+	for _, name := range []string{"perlbench_r", "mcf_r", "lbm_r"} {
+		fixtures = append(fixtures, suiteFixturePoints(b, name, simpoint.DefaultSeed))
+	}
+	cfg := kmeans.DefaultConfig(simpoint.DefaultSeed)
+	cfg.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, points := range fixtures {
+			if _, _, err := kmeans.BestK(points, simpoint.DefaultMaxK, simpoint.DefaultBICThreshold, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

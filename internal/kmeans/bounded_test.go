@@ -91,6 +91,59 @@ func degenerateShapes() []degenerateShape {
 	}
 }
 
+// TestSeedBoundsAreLowerBounds pins what bounded seeding hands Lloyd's
+// first iteration: every lb[i·k+c] is a lower bound on the distance from
+// point i to centre c, whether updateD2Bounded computed that distance or
+// skipped it by the triangle inequality, and near[i] is the first index of
+// point i's nearest centre. The bounds start as NaN, so one left unwritten
+// fails too.
+func TestSeedBoundsAreLowerBounds(t *testing.T) {
+	type input struct {
+		name    string
+		points  [][]float64
+		weights []float64
+		k       int
+	}
+	inputs := []input{{"gaussian", mustPoints(gaussianClusters(8, 200, 16, 0.3, 23)), nil, 8}}
+	for _, name := range []string{"mcf_r", "lbm_r"} {
+		inputs = append(inputs, input{name, SuiteFixture(t, name), nil, 35}) // simpoint.DefaultMaxK
+	}
+	for _, tc := range degenerateShapes() {
+		inputs = append(inputs,
+			input{tc.name, tc.points, nil, tc.k},
+			input{tc.name + "/weighted", tc.points, fuzzWeights(len(tc.points)), tc.k})
+	}
+	for _, in := range inputs {
+		m := flatten(in.points)
+		m.w = in.weights
+		k, margin := min(in.k, m.n), m.boundsMargin()
+		for _, seed := range []uint64{0, 7, 1001} {
+			sc := new(scratch)
+			sc.ensure(m.n, k, m.d)
+			for i := range sc.lb {
+				sc.lb[i] = math.NaN()
+			}
+			r := rng.New(seed)
+			seedPlusPlus(m, k, &r, sc, true, margin)
+			for i := 0; i < m.n; i++ {
+				nearest, nearestD := -1, math.Inf(1)
+				for c := 0; c < k; c++ {
+					dd := sqDist(m.row(i), sc.cents[c*m.d:(c+1)*m.d])
+					if lb := sc.lb[i*k+c]; !(lb <= math.Sqrt(dd)) {
+						t.Fatalf("%s/seed=%d: lb[%d·k+%d] = %v exceeds the distance %v", in.name, seed, i, c, lb, math.Sqrt(dd))
+					}
+					if dd < nearestD {
+						nearest, nearestD = c, dd
+					}
+				}
+				if sc.near[i] != nearest {
+					t.Fatalf("%s/seed=%d: near[%d] = %d, want %d", in.name, seed, i, sc.near[i], nearest)
+				}
+			}
+		}
+	}
+}
+
 // TestBoundedMatchesPlainDegenerate covers the tie-heavy degenerateShapes.
 func TestBoundedMatchesPlainDegenerate(t *testing.T) {
 	for _, tc := range degenerateShapes() {

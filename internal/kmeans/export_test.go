@@ -1,5 +1,7 @@
 package kmeans
 
+import "testing"
+
 // Test-only bridges to the plain (pre-bounds) reference kernel. The bounded
 // kernel's contract is bit-identity with this path; the TestBoundedMatches*
 // tests in this package and the suite-fixture tests in bounded_suite_test.go
@@ -35,3 +37,9 @@ func BestKPlain(points [][]float64, maxK int, threshold float64, cfg Config) (*R
 // GaussianClusters exposes the synthetic cluster generator to the
 // external-package tests.
 var GaussianClusters = gaussianClusters
+
+// SuiteFixture returns a suite benchmark's projected small-scale BBVs at
+// simpoint.DefaultSeed. The external test package sets it (this package
+// cannot import simpoint, which imports it), so in-package tests can check
+// internals on the points the pipeline clusters.
+var SuiteFixture func(tb testing.TB, name string) [][]float64

@@ -8,14 +8,15 @@
 // and restarts, and parallelise both the assignment step and the
 // independent candidate-k runs of BestK. On top of the norm-expansion
 // pruning, Lloyd iterations maintain Elkan-style per-centroid
-// triangle-inequality lower bounds (see bounded.go) that skip the distance
-// computations for centroids provably farther than a point's assigned one —
-// with a conservative floating-point margin sized so the bounded path is
-// bit-identical to the plain scan. Results are deterministic in the
-// configuration seed and, by construction, independent of Workers: every
-// per-point decision is computed from the same inputs regardless of how
-// points are partitioned across goroutines, and all floating-point
-// reductions (WCSS, centroid sums) happen in a fixed serial order.
+// triangle-inequality lower bounds (see bounded.go, set first by k-means++
+// seeding) that skip the distance computations for centroids provably
+// farther than a point's assigned one — with a conservative floating-point
+// margin sized so the bounded path is bit-identical to the plain scan.
+// Results are deterministic in the configuration seed and, by construction,
+// independent of Workers: every per-point decision is computed from the same
+// inputs regardless of how points are partitioned across goroutines, and all
+// floating-point reductions (WCSS, centroid sums) happen in a fixed serial
+// order.
 //
 // Per-point weights (RunWeighted, BestKWeighted) are optional data on the
 // same matrix and kernel, not a separate engine: they scale the k-means++
@@ -222,10 +223,10 @@ type scratch struct {
 
 // ensure (re)sizes every buffer for an (n, k, d) run, growing allocations
 // only when a previous use was smaller. No buffer carries state between
-// runs: each is fully written before it is read (cents, d2, near and ccHalf
-// by seeding, sums, mass and sizes by zeroing loops, assign by the -1 reset,
-// minD/lb by the assignment pass, move by the update step), so reuse across
-// Run calls and BestK candidates is safe.
+// runs: each is fully written before it is read (cents, d2, near, ccHalf and
+// lb by seeding, sums, mass and sizes by zeroing loops, assign by near or the
+// plain first pass, minD by the assignment pass, move by lloyd's reset and
+// the update step), so reuse across Run calls and BestK candidates is safe.
 func (sc *scratch) ensure(n, k, d int) {
 	sc.cents = growFloat(sc.cents, k*d)
 	sc.oldCents = growFloat(sc.oldCents, k*d)
@@ -477,11 +478,11 @@ func sampleIndices(total, n int, seed uint64) []int {
 // the result pass — no extra full-distance sweep is needed afterwards.
 //
 // With bounded set, seeding skips D² updates the triangle inequality rules
-// out, and iterations past the first use the per-centroid bounds kernel
-// (bounded.go): per point, the exact distance to the currently assigned
-// centroid is recomputed, and a rival's distance only when its maintained
-// lower bound cannot rule it out. The safety margin makes every skip
-// decision immune to floating-point slop, so both kernels produce
+// out and records the bounds, and every iteration uses the per-centroid
+// bounds kernel (bounded.go) from the nearest seeds: per point, the exact
+// distance to the assigned centroid is recomputed, and a rival's distance
+// only when its lower bound cannot rule it out. The safety margin makes every
+// skip decision immune to floating-point slop, so both kernels produce
 // bit-identical assignments, centroids and WCSS — pinned by
 // TestBoundedMatchesPlain*.
 func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded bool) float64 {
@@ -490,19 +491,18 @@ func lloyd(m *matrix, k, maxIter, workers int, r *rng.RNG, sc *scratch, bounded 
 		margin = m.boundsMargin()
 	}
 	seedPlusPlus(m, k, r, sc, bounded, margin)
-	for i := range sc.assign {
-		sc.assign[i] = -1
+	if bounded {
+		copy(sc.assign, sc.near)
+		clear(sc.move[:k])
 	}
 	var wcss float64
 	for iter := 0; ; iter++ {
 		refreshCentroidNorms(sc, k, m.d)
 		copy(sc.prev, sc.assign)
-		if !bounded {
-			assignPoints(m, sc, k, workers)
-		} else if iter == 0 {
-			assignPointsFull(m, sc, k, workers, margin)
-		} else {
+		if bounded {
 			assignPointsBounded(m, sc, k, workers, margin)
+		} else {
+			assignPoints(m, sc, k, workers)
 		}
 
 		// Serial reduction in index order: sizes, WCSS and the convergence
@@ -638,7 +638,7 @@ func assignMatrix(m *matrix, centroids [][]float64, workers int) *Result {
 // the original slice-based implementation exactly, so seeding is
 // bit-compatible with earlier versions of this package. With bounded set
 // the D² updates go through updateD2Bounded, which produces the same d2
-// bits.
+// bits, and sc.near (first index of the nearest centre) and sc.lb seed Lloyd.
 func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margin float64) {
 	d := m.d
 	first := r.Intn(m.n)
@@ -651,6 +651,9 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margi
 	}
 	if bounded {
 		clear(sc.near)
+		for i, dd := range d2 {
+			sc.lb[i*k] = math.Sqrt(dd) - margin
+		}
 	}
 	for picked := 1; picked < k; picked++ {
 		total := m.cost(d2)
@@ -673,7 +676,7 @@ func seedPlusPlus(m *matrix, k int, r *rng.RNG, sc *scratch, bounded bool, margi
 		c := sc.cents[picked*d : (picked+1)*d]
 		copy(c, m.row(idx))
 		if bounded {
-			updateD2Bounded(m, sc, picked, margin)
+			updateD2Bounded(m, sc, k, picked, margin)
 			continue
 		}
 		for i := 0; i < m.n; i++ {
